@@ -59,6 +59,7 @@ from .geometry import (
     euler_from_rotation,
     intersection_volume,
     iou3d,
+    iou3d_matrix,
     rotation_from_euler,
 )
 from .synth import NoiseSpec, SceneConfig, corrupt_detections, generate_corpus, generate_scene

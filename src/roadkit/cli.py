@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .camera import transform_box
@@ -26,7 +25,6 @@ from .evaluation import (
     render_report,
 )
 from .formats import (
-    DatasetManifest,
     DetectionRecord,
     dataset_stats,
     dump_calibration,
@@ -76,7 +74,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--pred", required=True, help="directory of <frame_id>.txt kitti_ext detections")
     p.add_argument("--iou", type=float, default=0.5)
     p.add_argument("--interpolation", choices=("r40", "r11"), default="r40")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="ignored: evaluation runs serially; kept for compatibility",
+    )
     p.add_argument("--out-json", default=None)
 
     p = sub.add_parser("compare", help="percent change between two eval reports")
@@ -132,31 +133,23 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _load_detection_dir(pred_dir: Path, manifest: DatasetManifest, jobs: int):
-    files = sorted(pred_dir.glob("*.txt"))
-
-    def _one(path: Path):
+def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
+    detections = {}
+    for path in sorted(pred_dir.glob("*.txt")):
         records = parse_labels(path.read_text(), "kitti_ext")
-        frame_id = path.stem
         out = []
         for r in records:
             if not isinstance(r, DetectionRecord):
                 raise ValidationError(f"{path.name}: detection lines must carry a score column")
-            out.append(dataclasses.replace(r, frame_id=frame_id))
-        return frame_id, out
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(_one, files))
-    else:
-        parsed = [_one(f) for f in files]
-    # Deterministic merge regardless of worker completion order.
-    return {fid: dets for fid, dets in sorted(parsed)}
+            out.append(dataclasses.replace(r, frame_id=path.stem))
+        detections[path.stem] = out
+    # Frame-id order; file-name order puts "a-1.txt" before "a.txt".
+    return dict(sorted(detections.items()))
 
 
 def _cmd_eval(args) -> int:
     manifest = load_manifest(_read(args.gt))
-    detections = _load_detection_dir(Path(args.pred), manifest, args.jobs)
+    detections = _load_detection_dir(Path(args.pred))
     config = EvalConfig(iou_threshold=args.iou, interpolation=args.interpolation)
     report = evaluate(manifest, detections, config)
     print(render_report([ReportRow(report=report, eval_set=manifest.name)]), end="")

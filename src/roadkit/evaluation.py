@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import AnnotationRecord, DatasetManifest, DetectionRecord
-from .geometry import iou3d, rotation_from_euler
+from .geometry import iou3d_matrix, rotation_from_euler
 
 LEVELS = (DifficultyLevel.EASY, DifficultyLevel.MODERATE, DifficultyLevel.HARD)
 LEVEL_NAMES = {
@@ -58,51 +58,65 @@ def match_frame(
     matched or counted, and a detection whose only qualifying overlap is with
     such a GT is ignored rather than counted as a false positive.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValidationError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
     ignored_gt = frozenset(ignored_gt or ())
-    gt_eligible = [
-        i
-        for i, g in enumerate(gts)
-        if (class_name is None or g.class_name == class_name) and i not in ignored_gt
-    ]
-    gt_dontcare = [
-        i
-        for i, g in enumerate(gts)
-        if (class_name is None or g.class_name == class_name) and i in ignored_gt
-    ]
-    det_order = sorted(
+    rows, cols, ious = _class_matrix(gts, dets, class_name)
+    ignored = np.array([i in ignored_gt for i in rows], dtype=bool)
+    return _match_ranked(ious, rows, cols, ignored, iou_threshold)
+
+
+def _class_matrix(
+    gts: Sequence[AnnotationRecord],
+    dets: Sequence[DetectionRecord],
+    class_name: str | None,
+) -> tuple[list[int], list[int], np.ndarray]:
+    """(GT indices, detection indices, IoU matrix) of one class in one frame.
+
+    GT rows keep input order; detection columns are in processing order,
+    descending score with ties by input order. class_name None takes all.
+    """
+    rows = [i for i, g in enumerate(gts) if class_name is None or g.class_name == class_name]
+    cols = sorted(
         (i for i, d in enumerate(dets) if class_name is None or d.class_name == class_name),
         key=lambda i: -dets[i].score,
     )
-    matched_gt: set[int] = set()
+    ious = iou3d_matrix([gts[i].box3d for i in rows], [dets[i].box3d for i in cols])
+    return rows, cols, ious
+
+
+def _match_ranked(
+    ious: np.ndarray,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    ignored: np.ndarray,
+    iou_threshold: float,
+) -> MatchResult:
+    """Greedy matching as index work on one IoU matrix from _class_matrix.
+
+    ignored masks the don't-care rows. Each column in turn takes the open
+    row of highest IoU at or above the threshold, the first such row on
+    ties. Returned indices refer to the original inputs via rows and cols.
+    """
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValidationError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    hits = ious >= iou_threshold
+    dontcare_hit = np.any(hits[ignored], axis=0)
+    open_rows = ~ignored
     pairs: list[tuple[int, int, float]] = []
     false_pos: list[int] = []
     ignored_det: list[int] = []
-    for di in det_order:
-        best_iou = 0.0
-        best_gt: int | None = None
-        for gi in gt_eligible:
-            if gi in matched_gt:
-                continue
-            overlap = iou3d(gts[gi].box3d, dets[di].box3d)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou = overlap
-                best_gt = gi
-        if best_gt is not None:
-            matched_gt.add(best_gt)
-            pairs.append((best_gt, di, best_iou))
-            continue
-        if any(
-            iou3d(gts[gi].box3d, dets[di].box3d) >= iou_threshold for gi in gt_dontcare
-        ):
+    for c, di in enumerate(cols):
+        candidates = hits[:, c] & open_rows
+        if candidates.any():
+            r = int(np.argmax(np.where(candidates, ious[:, c], -1.0)))
+            open_rows[r] = False
+            pairs.append((rows[r], di, float(ious[r, c])))
+        elif dontcare_hit[c]:
             ignored_det.append(di)
         else:
             false_pos.append(di)
-    unmatched_gt = tuple(i for i in gt_eligible if i not in matched_gt)
     return MatchResult(
         pairs=tuple(pairs),
-        unmatched_gt=unmatched_gt,
+        unmatched_gt=tuple(rows[r] for r in np.flatnonzero(open_rows)),
         unmatched_det=tuple(false_pos),
         ignored_det=tuple(ignored_det),
     )
@@ -212,7 +226,7 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_constant=_reject_constant)
             cells = {
                 cls_name: {
                     lvl: EvalCell(ap=c["ap"], gt=c["gt"], tp=c["tp"], fp=c["fp"], fn=c["fn"])
@@ -226,8 +240,12 @@ class EvalReport:
                 iou_threshold=float(doc["iou_threshold"]),
                 interpolation=doc["interpolation"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed report document: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"malformed report document: non-finite number {name}")
 
 
 def _gt_difficulty(annotation: AnnotationRecord) -> DifficultyLevel:
@@ -275,41 +293,39 @@ def evaluate(
     config = config or EvalConfig()
     grouped = _group_detections(manifest, detections)
     frames = sorted(manifest.frames, key=lambda f: f.frame_id)
+    # Per (class, level): (score, seq, is_tp) flags pooled over frames, and
+    # the in-level GT count.
+    flags: dict[tuple[str, DifficultyLevel], list[tuple[float, int, bool]]] = {
+        (name, level): [] for name in manifest.class_taxonomy for level in LEVELS
+    }
+    npos = dict.fromkeys(flags, 0)
+    for frame in frames:
+        gts = frame.annotations
+        dets = grouped.get(frame.frame_id, [])
+        difficulties = [_gt_difficulty(g) for g in gts]
+        for cls_name in manifest.class_taxonomy:
+            rows, cols, ious = _class_matrix(gts, dets, cls_name)
+            for level in LEVELS:
+                # IGNORED ranks above every level, so it is always don't-care.
+                ignored = np.array([difficulties[i] > level for i in rows], dtype=bool)
+                result = _match_ranked(ious, rows, cols, ignored, config.threshold_for(cls_name))
+                cell = flags[(cls_name, level)]
+                npos[(cls_name, level)] += len(rows) - int(np.count_nonzero(ignored))
+                for _, di, _ in result.pairs:
+                    cell.append((dets[di].score, len(cell), True))
+                for di in result.unmatched_det:
+                    cell.append((dets[di].score, len(cell), False))
     cells: dict[str, dict[str, EvalCell]] = {}
     for cls_name in manifest.class_taxonomy:
-        threshold = config.threshold_for(cls_name)
         by_level: dict[str, EvalCell] = {}
         for level in LEVELS:
-            flags: list[tuple[float, int, bool]] = []  # (score, seq, is_tp)
-            npos = 0
-            seq = 0
-            for frame in frames:
-                gts = frame.annotations
-                dets = grouped.get(frame.frame_id, [])
-                difficulties = [_gt_difficulty(g) for g in gts]
-                ignored = {
-                    i
-                    for i, d in enumerate(difficulties)
-                    if d > level or d == DifficultyLevel.IGNORED
-                }
-                npos += sum(
-                    1
-                    for i, g in enumerate(gts)
-                    if g.class_name == cls_name and i not in ignored
-                )
-                result = match_frame(gts, dets, threshold, cls_name, ignored)
-                for _, di, _ in result.pairs:
-                    flags.append((dets[di].score, seq, True))
-                    seq += 1
-                for di in result.unmatched_det:
-                    flags.append((dets[di].score, seq, False))
-                    seq += 1
-            flags.sort(key=lambda item: (-item[0], item[1]))
-            curve = PRCurve.from_flags([f[2] for f in flags], npos)
-            ap = average_precision(curve, config.interpolation) if npos > 0 else 0.0
-            tp = sum(1 for f in flags if f[2])
-            fp = len(flags) - tp
-            by_level[LEVEL_NAMES[level]] = EvalCell(ap=ap, gt=npos, tp=tp, fp=fp, fn=npos - tp)
+            cell = sorted(flags[(cls_name, level)], key=lambda item: (-item[0], item[1]))
+            total = npos[(cls_name, level)]
+            curve = PRCurve.from_flags([f[2] for f in cell], total)
+            ap = average_precision(curve, config.interpolation) if total > 0 else 0.0
+            tp = sum(1 for f in cell if f[2])
+            fp = len(cell) - tp
+            by_level[LEVEL_NAMES[level]] = EvalCell(ap=ap, gt=total, tp=tp, fp=fp, fn=total - tp)
         cells[cls_name] = by_level
     map3d = {}
     for level in LEVELS:

@@ -158,8 +158,13 @@ def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
     truncation = _parse_float(tokens[1], line_no, "truncation")
     if not (0.0 <= truncation <= 1.0):
         raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
+    occlusion_value = _parse_float(tokens[2], line_no, "occlusion")
+    if not occlusion_value.is_integer():
+        raise ParseError(
+            f"occlusion {tokens[2]!r} is not an integer", line=line_no, field="occlusion"
+        )
     try:
-        occlusion = Occlusion(int(float(tokens[2])))
+        occlusion = Occlusion(int(occlusion_value))
     except ValueError:
         raise ValidationError(f"occlusion {tokens[2]!r} out of range 0-3 (line {line_no})")
     _parse_float(tokens[3], line_no, "alpha")  # observation angle; not retained

@@ -365,3 +365,26 @@ def iou3d(a: Box3D, b: Box3D) -> float:
     if union <= 0.0:
         return 0.0
     return min(max(inter / union, 0.0), 1.0)
+
+
+def iou3d_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
+    """IoU of every pair, shape (len(boxes_a), len(boxes_b)).
+
+    Entry (i, j) equals iou3d(boxes_a[i], boxes_b[j]) bit for bit. Pairs
+    whose axis-aligned bounds are disjoint (the test intersection_volume
+    applies) are rejected for all pairs at once and read exactly 0.0; only
+    the survivors go through iou3d.
+    """
+    out = np.zeros((len(boxes_a), len(boxes_b)))
+    if out.size == 0:
+        return out
+    corners_a = np.stack([box_corners(box) for box in boxes_a])
+    corners_b = np.stack([box_corners(box) for box in boxes_b])
+    lo_a, hi_a = corners_a.min(axis=1), corners_a.max(axis=1)
+    lo_b, hi_b = corners_b.min(axis=1), corners_b.max(axis=1)
+    disjoint = np.any(lo_a[:, None, :] > hi_b[None, :, :], axis=2) | np.any(
+        lo_b[None, :, :] > hi_a[:, None, :], axis=2
+    )
+    for i, j in zip(*np.nonzero(~disjoint)):
+        out[i, j] = iou3d(boxes_a[i], boxes_b[j])
+    return out

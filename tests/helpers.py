@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from roadkit.evaluation import MatchResult
 from roadkit.formats import AnnotationRecord, DetectionRecord, Occlusion
 from roadkit.geometry import Box3D, EulerOrientation, box_corners, iou3d, rotation_from_euler
 
@@ -183,6 +184,58 @@ def oracle_evaluate(manifest, detections_by_frame, iou_threshold=0.5, interpolat
                 precisions.append(best)
             results[class_name][level] = sum(precisions) / len(samples) * 100.0
     return results
+
+
+def reference_match_frame(gts, dets, iou_threshold, class_name=None, ignored_gt=None):
+    """Per-pair greedy matching with the documented rules of match_frame.
+
+    Calls iou3d on each (gt, det) pair as the loops reach it, with no shared
+    IoU matrix, so it checks the library's matrix-based matching by a
+    second route. Returns a MatchResult.
+    """
+    ignored_gt = frozenset(ignored_gt or ())
+    gt_eligible = [
+        i
+        for i, g in enumerate(gts)
+        if (class_name is None or g.class_name == class_name) and i not in ignored_gt
+    ]
+    gt_dontcare = [
+        i
+        for i, g in enumerate(gts)
+        if (class_name is None or g.class_name == class_name) and i in ignored_gt
+    ]
+    det_order = sorted(
+        (i for i, d in enumerate(dets) if class_name is None or d.class_name == class_name),
+        key=lambda i: -dets[i].score,
+    )
+    matched_gt: set[int] = set()
+    pairs = []
+    false_pos = []
+    ignored_det = []
+    for di in det_order:
+        best_iou = 0.0
+        best_gt = None
+        for gi in gt_eligible:
+            if gi in matched_gt:
+                continue
+            overlap = iou3d(gts[gi].box3d, dets[di].box3d)
+            if overlap >= iou_threshold and overlap > best_iou:
+                best_iou = overlap
+                best_gt = gi
+        if best_gt is not None:
+            matched_gt.add(best_gt)
+            pairs.append((best_gt, di, best_iou))
+            continue
+        if any(iou3d(gts[gi].box3d, dets[di].box3d) >= iou_threshold for gi in gt_dontcare):
+            ignored_det.append(di)
+        else:
+            false_pos.append(di)
+    return MatchResult(
+        pairs=tuple(pairs),
+        unmatched_gt=tuple(i for i in gt_eligible if i not in matched_gt),
+        unmatched_det=tuple(false_pos),
+        ignored_det=tuple(ignored_det),
+    )
 
 
 def make_annotation(

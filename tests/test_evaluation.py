@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import roadkit.geometry
 from roadkit.errors import (
     EmptyInputError,
     FrameReferenceError,
@@ -23,8 +24,9 @@ from roadkit.evaluation import (
     render_report,
 )
 from roadkit.formats import DatasetManifest, FrameRecord
+from roadkit.synth import NoiseSpec, SceneConfig, corrupt_detections, generate_corpus
 
-from helpers import make_annotation, make_detection, oracle_evaluate
+from helpers import make_annotation, make_detection, oracle_evaluate, reference_match_frame
 
 
 def single_class_manifest(annotations, frame_id="f0", taxonomy=("Car",)):
@@ -103,6 +105,30 @@ class TestMatchFrame:
             match_frame([], [], 0.0)
         with pytest.raises(ValidationError):
             match_frame([], [], 1.0)
+
+    def test_matches_per_pair_reference(self):
+        rng = np.random.default_rng(59)
+        classes = ("Car", "Truck")
+        for _ in range(25):
+            gts = []
+            dets = []
+            for _ in range(int(rng.integers(0, 7))):
+                cls = str(rng.choice(classes))
+                center = (rng.uniform(-4, 4), 1.0, rng.uniform(15, 25))
+                gts.append(make_annotation(class_name=cls, center=center,
+                                           yaw=rng.uniform(-0.3, 0.3)))
+                for _ in range(int(rng.integers(0, 3))):
+                    jitter = tuple(np.asarray(center) + rng.normal(0, 0.5, 3))
+                    det_cls = cls if rng.random() < 0.8 else str(rng.choice(classes))
+                    # Scores on a coarse grid, so that ties occur.
+                    dets.append(make_detection(score=float(rng.integers(1, 6)) / 5,
+                                               class_name=det_cls, center=jitter,
+                                               yaw=rng.uniform(-0.3, 0.3)))
+            ignored = {i for i in range(len(gts)) if rng.random() < 0.3}
+            threshold = float(rng.choice([0.1, 0.3, 0.5, 0.7]))
+            for class_name in (None, "Car", "Truck"):
+                got = match_frame(gts, dets, threshold, class_name, ignored)
+                assert got == reference_match_frame(gts, dets, threshold, class_name, ignored)
 
 
 class TestPRCurveAndAP:
@@ -249,6 +275,32 @@ class TestEvaluate:
                 for level in ("easy", "moderate", "hard"):
                     assert report.cells[cls][level].ap == expected[cls][level]
 
+    def test_each_pair_clipped_at_most_once(self, monkeypatch):
+        config = SceneConfig(objects_per_frame=(10, 14))
+        manifest, _ = generate_corpus(config, 4, seed=61)
+        noise = NoiseSpec(drop_rate=0.2, fp_rate=2.0, center_sigma=0.4, dim_sigma=0.1,
+                          angle_sigma=0.05)
+        detections = {
+            frame.frame_id: corrupt_detections(frame, noise, seed=67 + i, config=config)
+            for i, frame in enumerate(manifest.frames)
+        }
+        same_class_pairs = sum(
+            sum(1 for g in frame.annotations for d in detections[frame.frame_id]
+                if g.class_name == d.class_name)
+            for frame in manifest.frames
+        )
+        calls = []
+        clip = roadkit.geometry.intersection_volume
+
+        def counting(a, b):
+            calls.append((a, b))
+            return clip(a, b)
+
+        monkeypatch.setattr(roadkit.geometry, "intersection_volume", counting)
+        evaluate(manifest, detections)
+        assert calls
+        assert len(calls) == len(set(calls)) <= same_class_pairs
+
     def test_per_class_iou_thresholds(self):
         anns = [make_annotation(frame_id="f0")]
         manifest = single_class_manifest(anns)
@@ -272,6 +324,19 @@ class TestEvalReportSerialization:
     def test_malformed(self):
         with pytest.raises(SchemaError):
             EvalReport.from_json("{}")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, constant):
+        report = EvalReport.from_map_values(10.0, 20.0, 30.0)
+        text = report.to_json().replace('"easy": 10.0', f'"easy": {constant}')
+        assert constant in text
+        with pytest.raises(SchemaError):
+            EvalReport.from_json(text)
+
+    def test_non_numeric_threshold_rejected(self):
+        text = EvalReport.from_map_values(10.0, 20.0, 30.0).to_json()
+        with pytest.raises(SchemaError):
+            EvalReport.from_json(text.replace('"iou_threshold": 0.5', '"iou_threshold": "high"'))
 
 
 class TestErrorBreakdown:

@@ -147,6 +147,18 @@ class TestKittiParsing:
         with pytest.raises(ValidationError):
             parse_labels(BASE_LINE.replace("Car 0 0", "Car 0 7"))
 
+    def test_fractional_occlusion_rejected(self):
+        bad = BASE_LINE.replace("Car 0 0", "Car 0 1.7")
+        with pytest.raises(ParseError) as exc:
+            parse_labels(BASE_LINE + "\n" + bad + "\n")
+        assert exc.value.line == 2
+        assert exc.value.field == "occlusion"
+
+    @pytest.mark.parametrize("token", ["1", "1.0"])
+    def test_integral_occlusion_accepted(self, token):
+        (record,) = parse_labels(BASE_LINE.replace("Car 0 0", f"Car 0 {token}"))
+        assert record.occlusion is Occlusion.PARTLY
+
     def test_unknown_format(self):
         with pytest.raises(ValidationError):
             parse_labels(BASE_LINE, fmt="csv")

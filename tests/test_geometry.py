@@ -12,6 +12,7 @@ from roadkit.geometry import (
     euler_from_rotation,
     intersection_volume,
     iou3d,
+    iou3d_matrix,
     normalize_angle,
     rot_x,
     rot_y,
@@ -243,6 +244,58 @@ class TestIntersectionProperties:
                 )
 
             assert iou3d(move(a), move(b)) == pytest.approx(base, abs=1e-9)
+
+
+def _matrix_box_sets(seed: int) -> tuple[list[Box3D], list[Box3D]]:
+    """Seeded random boxes plus the boundary cases of the AABB prefilter."""
+    rng = np.random.default_rng(seed)
+    a = [random_box(rng, center_spread=3.0) for _ in range(12)]
+    b = [random_box(rng, center_spread=3.0) for _ in range(12)]
+    # Identical boxes.
+    b += a[:2]
+    # A box contained in another.
+    a.append(Box3D(center=(0, 0, 0), dims=(4, 4, 4)))
+    b.append(Box3D(center=(0.2, -0.3, 0.1), dims=(1, 1, 1),
+                   orientation=EulerOrientation(0.7, 0.3, -0.4)))
+    # Touching faces, and AABBs that touch along an edge or at a corner only.
+    a.append(Box3D(center=(10, 0, 0), dims=(1, 1, 1)))
+    b += [Box3D(center=(11, 0, 0), dims=(1, 1, 1)),
+          Box3D(center=(11, 1, 0), dims=(1, 1, 1)),
+          Box3D(center=(11, 1, 1), dims=(1, 1, 1))]
+    # Pitch at +/- pi/2, where yaw and roll share an axis.
+    for pitch in (math.pi / 2, -math.pi / 2):
+        for boxes in (a, b):
+            yaw, roll = rng.uniform(-math.pi, math.pi, 2)
+            boxes.append(Box3D(center=tuple(rng.uniform(-1, 1, 3)),
+                               dims=tuple(rng.uniform(0.5, 3.0, 3)),
+                               orientation=EulerOrientation(yaw, pitch, roll)))
+    return a, b
+
+
+class TestIoUMatrix:
+    def test_empty_shapes(self):
+        boxes = [Box3D(center=(0, 0, 0), dims=(1, 1, 1))] * 3
+        for a, b in (([], boxes), (boxes, []), ([], [])):
+            out = iou3d_matrix(a, b)
+            assert out.shape == (len(a), len(b))
+            assert not out.any()
+
+    def test_entries_equal_iou3d_exactly(self):
+        for seed in (43, 47):
+            a, b = _matrix_box_sets(seed)
+            out = iou3d_matrix(a, b)
+            assert out.shape == (len(a), len(b))
+            for i, box_a in enumerate(a):
+                for j, box_b in enumerate(b):
+                    assert out[i, j] == iou3d(box_a, box_b), (seed, i, j)
+            # The sets hold rejected, clipped-to-zero and overlapping pairs.
+            assert np.count_nonzero(out == 0.0) > 0
+            assert np.count_nonzero(out > 1.0 - 1e-9) >= 2
+            assert np.count_nonzero((out > 0.0) & (out < 1.0)) > 0
+
+    def test_transpose_is_exact(self):
+        a, b = _matrix_box_sets(53)
+        assert np.array_equal(iou3d_matrix(b, a), iou3d_matrix(a, b).T)
 
 
 class TestConvexPolytope:
