@@ -53,7 +53,6 @@ from .formats import (
 )
 from .geometry import (
     Box3D,
-    ConvexPolytope,
     EulerOrientation,
     box_corners,
     euler_from_rotation,

@@ -44,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _object_range(text: str) -> tuple[int, int]:
+    """Parse --objects as "min,max" object counts."""
+    try:
+        lo, hi = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected min,max integers, got {text!r}") from None
+    return lo, hi
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="roadkit", description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="chatty progress logs")
@@ -88,7 +97,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objects", default=None, help="min,max objects per frame")
+    p.add_argument("--objects", type=_object_range, default=None, help="min,max objects per frame")
     p.add_argument("--max-range", type=float, default=None)
     p.add_argument("--drop-rate", type=float, default=0.0)
     p.add_argument("--fp-rate", type=float, default=0.0)
@@ -167,9 +176,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_synth(args) -> int:
     kwargs = {}
-    if args.objects:
-        lo, hi = (int(v) for v in args.objects.split(","))
-        kwargs["objects_per_frame"] = (lo, hi)
+    if args.objects is not None:
+        kwargs["objects_per_frame"] = args.objects
     if args.max_range is not None:
         kwargs["max_range"] = args.max_range
     config = SceneConfig(**kwargs)

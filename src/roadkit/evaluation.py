@@ -192,6 +192,7 @@ class EvalReport:
     map3d: dict[str, float]
     iou_threshold: float = 0.5
     interpolation: str = "r40"
+    per_class_iou: dict[str, float] = field(default_factory=dict)  # overrides of iou_threshold
 
     @classmethod
     def from_map_values(
@@ -221,6 +222,8 @@ class EvalReport:
             },
             "map": self.map3d,
         }
+        if self.per_class_iou:
+            doc["per_class_iou"] = self.per_class_iou
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
@@ -239,8 +242,9 @@ class EvalReport:
                 map3d={k: float(v) for k, v in doc["map"].items()},
                 iou_threshold=float(doc["iou_threshold"]),
                 interpolation=doc["interpolation"],
+                per_class_iou={k: float(v) for k, v in doc.get("per_class_iou", {}).items()},
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed report document: {exc}") from exc
 
 
@@ -337,6 +341,7 @@ def evaluate(
         map3d=map3d,
         iou_threshold=config.iou_threshold,
         interpolation=config.interpolation,
+        per_class_iou=dict(config.per_class_iou),
     )
 
 

@@ -11,6 +11,7 @@ Conventions (normative for the whole toolkit):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,9 +21,6 @@ import numpy as np
 from .errors import ValidationError
 
 TAU = 2.0 * math.pi
-
-# Vertices closer than this to a clipping plane are treated as on-plane.
-CLIP_EPS = 1e-9
 
 
 def normalize_angle(angle: float) -> float:
@@ -170,221 +168,129 @@ def box_corners(box: Box3D) -> np.ndarray:
     return np.asarray(box.center) + local @ rot.T
 
 
-# Face cycles over the corner ordering of box_corners.
-_BOX_FACES = (
-    (0, 1, 3, 2),  # +x
-    (4, 5, 7, 6),  # -x
-    (0, 1, 5, 4),  # +y
-    (2, 3, 7, 6),  # -y
-    (0, 2, 6, 4),  # +z
-    (1, 3, 7, 5),  # -z
-)
+# Plane k of a box pair (k = 0..11) faces along axis k // 2 of the pair's six
+# box axes (a's local x, y, z, then b's), outward + for even k, - for odd.
+_PLANE_AXIS = np.repeat(np.arange(6), 2)
+_PLANE_SIGN = np.tile([1.0, -1.0], 6)
+# Candidate vertices: 20 triples of axes times 8 sign choices, the 160 plane
+# triples that hold no parallel pair from one box.
+_TRIPLE_AXES = np.array(list(itertools.combinations(range(6), 3)))
+_TRIPLE_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+_VERTEX_PLANES = (2 * _TRIPLE_AXES[:, None] + (_TRIPLE_SIGNS < 0)).reshape(-1, 3)
+# The 40 candidate vertices on each plane, and the two box axes spanning it.
+_FACE_VERTICES = np.array([np.flatnonzero(np.any(_VERTEX_PLANES == k, axis=1)) for k in range(12)])
+_FACE_UV = np.stack([_PLANE_AXIS // 3 * 3 + (_PLANE_AXIS + k) % 3 for k in (1, 2)])[..., None]
+_NEXT = np.roll(np.arange(_FACE_VERTICES.shape[1]), -1)
+_PLANE_EPS = 1e-9  # a vertex this close outside a plane is inside it
+_PARALLEL_EPS = 1e-12  # unit normals this close per component are parallel
+_BATCH = 8  # pairs per kernel call; bounds the working set
 
 
-def _newell_normal(poly: np.ndarray) -> np.ndarray:
-    nxt = np.roll(poly, -1, axis=0)
-    return np.array(
-        [
-            np.sum((poly[:, 1] - nxt[:, 1]) * (poly[:, 2] + nxt[:, 2])),
-            np.sum((poly[:, 2] - nxt[:, 2]) * (poly[:, 0] + nxt[:, 0])),
-            np.sum((poly[:, 0] - nxt[:, 0]) * (poly[:, 1] + nxt[:, 1])),
-        ]
-    )
+# A pair gets the same bits in any batch: np.sum and matmul may reorder their
+# additions with the array shape, so sums are written out or read off cumsum.
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
-def _dedupe_points(points: np.ndarray, eps: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= eps for q in kept):
-            kept.append(p)
-    return np.asarray(kept)
+def _sum(x: np.ndarray) -> np.ndarray:
+    return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _order_cap(points: np.ndarray, normal: np.ndarray) -> np.ndarray | None:
-    """Order coplanar points into a convex cycle around their centroid."""
-    pts = _dedupe_points(points, 10.0 * CLIP_EPS)
-    if len(pts) < 3:
-        return None
-    n = normal / np.linalg.norm(normal)
-    seed = np.array([1.0, 0.0, 0.0])
-    if abs(n[0]) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    u = np.cross(n, seed)
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
-    angles = np.arctan2(rel @ v, rel @ u)
-    return pts[np.argsort(angles)]
+def _intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
+    """Exact intersection volume of each box pair (a[k], b[k]).
+
+    a and b are (centers (P, 3), rotations (P, 3, 3), half extents (P, 3) along
+    local x, y, z). The polytope's vertices are the points of the 160 plane
+    triples inside all 12 planes; its volume is the sum of face area x height / 3
+    about an interior point, each area a shoelace sum over vertices by angle.
+    """
+    axes = np.concatenate([a[1], b[1]], axis=2).transpose(0, 2, 1)
+    half = np.concatenate([a[2], b[2]], axis=1)
+    # Each box's center along each axis, with the origin at a's center.
+    proj = np.concatenate([np.zeros_like(a[2]), _dot(axes[:, 3:], (b[0] - a[0])[:, None])], axis=1)
+
+    # Of two parallel planes facing the same way, one per box, the outer one
+    # (b's on a tie) bounds nothing and is dropped: its face would repeat.
+    normals = axes[:, _PLANE_AXIS] * _PLANE_SIGN[:, None]
+    offsets = _PLANE_SIGN * proj[:, _PLANE_AXIS] + half[:, _PLANE_AXIS]
+    aligned = np.all(np.abs(normals[:, :6, None] - normals[:, None, 6:]) <= _PARALLEL_EPS, axis=3)
+    b_outer = offsets[:, None, 6:] >= offsets[:, :6, None]
+    redundant = np.hstack([np.any(aligned & ~b_outer, axis=2), np.any(aligned & b_outer, axis=1)])
+
+    # Cramer's rule for axis_i . x = proj_i + sign_i half_i, then in box frames.
+    triple = axes[:, _TRIPLE_AXES]
+    cofactors = np.cross(triple[:, :, [1, 2, 0]], triple[:, :, [2, 0, 1]])
+    det = _dot(triple[:, :, 0], cofactors[:, :, 0])
+    solvable = np.abs(det) > _PARALLEL_EPS
+    level = proj[:, _TRIPLE_AXES[:, None]] + _TRIPLE_SIGNS * half[:, _TRIPLE_AXES[:, None]]
+    points = _dot(level[..., None, :], cofactors.swapaxes(2, 3)[:, :, None])
+    points = (points / np.where(solvable, det, 1.0)[..., None, None]).reshape(len(axes), -1, 3)
+    coords = _dot(axes[:, :, None], points[:, None]) - proj[..., None]
+    usable = np.repeat(solvable, len(_TRIPLE_SIGNS), axis=1) & ~np.any(redundant[:, _VERTEX_PLANES], 2)
+    feasible = usable & np.all(np.abs(coords) <= half[..., None] + _PLANE_EPS, axis=1)
+
+    # Face vertices in the two axes spanning the face, about their centroid,
+    # ordered by angle; padding with the first vertex adds zero-length edges.
+    member = feasible[:, None, _FACE_VERTICES]
+    uv = np.where(member, coords[:, _FACE_UV, _FACE_VERTICES], 0.0)
+    uv -= _sum(uv)[..., None] / np.maximum(np.count_nonzero(member, axis=3), 1)[..., None]
+    angle = np.where(member[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf)
+    order = np.argsort(angle, axis=2, kind="stable")[:, None]
+    uv, member = np.take_along_axis(uv, order, axis=3), np.take_along_axis(member, order, axis=3)
+    x, y = np.where(member, uv, uv[..., :1]).transpose(1, 0, 2, 3)
+    area = 0.5 * _sum(x * y[..., _NEXT] - x[..., _NEXT] * y)
+
+    # Face heights above the mean of the vertices, an interior point.
+    inner = _sum(np.where(feasible[:, None], coords, 0.0))
+    inner /= np.maximum(np.count_nonzero(feasible, axis=1), 1)[:, None]
+    height = half[:, _PLANE_AXIS] - _PLANE_SIGN * inner[:, _PLANE_AXIS]
+    return _sum(area * height) / 3.0
 
 
-@dataclass(frozen=True)
-class ConvexPolytope:
-    """Convex polytope as vertices plus face index cycles."""
-
-    vertices: np.ndarray
-    faces: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_box(cls, box: Box3D) -> "ConvexPolytope":
-        return cls(vertices=box_corners(box), faces=_BOX_FACES)
-
-    @classmethod
-    def _from_face_points(cls, face_points: Sequence[np.ndarray]) -> "ConvexPolytope":
-        verts: list[np.ndarray] = []
-        index: dict[tuple, int] = {}
-        faces = []
-        for poly in face_points:
-            cycle = []
-            for p in poly:
-                key = tuple(np.round(p, 9))
-                i = index.get(key)
-                if i is None:
-                    i = len(verts)
-                    index[key] = i
-                    verts.append(np.asarray(p, dtype=float))
-                cycle.append(i)
-            faces.append(tuple(cycle))
-        return cls(vertices=np.asarray(verts), faces=tuple(faces))
-
-    def _face_points(self) -> list[np.ndarray]:
-        return [self.vertices[list(f)] for f in self.faces]
-
-    def validate(self, planarity_tol: float = 1e-7) -> None:
-        """Check face planarity, convexity, and nonnegative volume."""
-        centroid = self.vertices.mean(axis=0)
-        for face, poly in zip(self.faces, self._face_points()):
-            if len(poly) < 3:
-                raise ValidationError(f"face {face} has fewer than 3 vertices")
-            n = _newell_normal(poly)
-            norm = np.linalg.norm(n)
-            if norm < 1e-16:
-                continue  # degenerate sliver; contributes no volume
-            nh = n / norm
-            offsets = (poly - poly[0]) @ nh
-            if np.max(np.abs(offsets)) > planarity_tol:
-                raise ValidationError(f"face {face} is not planar within {planarity_tol}")
-            if float(nh @ (poly.mean(axis=0) - centroid)) < 0.0:
-                nh = -nh
-            support = (self.vertices - poly[0]) @ nh
-            if np.max(support) > planarity_tol:
-                raise ValidationError("polytope is not convex: vertex outside a face plane")
-        if self.volume() < -planarity_tol:
-            raise ValidationError("polytope volume is negative")
-
-    def clip_halfspace(
-        self, point: np.ndarray, normal: np.ndarray
-    ) -> "ConvexPolytope | None":
-        """Clip against {x : normal . (x - point) <= 0}; None when empty."""
-        point = np.asarray(point, dtype=float)
-        normal = np.asarray(normal, dtype=float)
-        new_faces: list[np.ndarray] = []
-        cap: list[np.ndarray] = []
-        face_on_plane = False
-        for poly in self._face_points():
-            dist = (poly - point) @ normal
-            if np.all(np.abs(dist) <= CLIP_EPS):
-                # The plane supports this face; the boundary is already
-                # represented, so no cap face must be added.
-                face_on_plane = True
-            kept: list[np.ndarray] = []
-            m = len(poly)
-            for i in range(m):
-                j = (i + 1) % m
-                di, dj = dist[i], dist[j]
-                if di <= CLIP_EPS:
-                    kept.append(poly[i])
-                    if abs(di) <= CLIP_EPS:
-                        cap.append(poly[i])
-                if (di > CLIP_EPS and dj < -CLIP_EPS) or (di < -CLIP_EPS and dj > CLIP_EPS):
-                    t = di / (di - dj)
-                    q = poly[i] + t * (poly[j] - poly[i])
-                    kept.append(q)
-                    cap.append(q)
-            if len(kept) >= 3:
-                new_faces.append(np.asarray(kept))
-        if len(cap) >= 3 and not face_on_plane:
-            cap_face = _order_cap(np.asarray(cap), normal)
-            if cap_face is not None:
-                new_faces.append(cap_face)
-        if not new_faces:
-            return None
-        return ConvexPolytope._from_face_points(new_faces)
-
-    def volume(self) -> float:
-        """Enclosed volume via the divergence theorem over outward faces."""
-        centroid = self.vertices.mean(axis=0)
-        total = 0.0
-        for poly in self._face_points():
-            n = _newell_normal(poly)
-            area2 = np.linalg.norm(n)
-            if area2 < 1e-16:
-                continue
-            nh = n / area2
-            face_center = poly.mean(axis=0)
-            if float(nh @ (face_center - centroid)) < 0.0:
-                nh = -nh
-            total += float(nh @ face_center) * area2 * 0.5
-        return total / 3.0
+def _box_arrays(boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, rotations, half extents along local x, y, z) of boxes."""
+    centers = np.array([box.center for box in boxes])
+    rotations = np.array([rotation_from_euler(box.orientation) for box in boxes])
+    return centers, rotations, np.array([(b.width, b.height, b.length) for b in boxes]) * 0.5
 
 
 def intersection_volume(a: Box3D, b: Box3D) -> float:
-    """Exact volume of the intersection of two oriented boxes.
-
-    Box a's polytope is clipped successively against box b's six face
-    half-spaces; the surviving cell's volume comes from the divergence
-    theorem. Touching contact yields 0 within CLIP_EPS.
-    """
-    ca, cb = box_corners(a), box_corners(b)
-    # Disjoint axis-aligned bounds cannot intersect; skip the clipping work.
-    if np.any(ca.min(axis=0) > cb.max(axis=0)) or np.any(cb.min(axis=0) > ca.max(axis=0)):
-        return 0.0
-    poly: ConvexPolytope | None = ConvexPolytope.from_box(a)
-    rot = rotation_from_euler(b.orientation)
-    center = np.asarray(b.center)
-    h, w, l = b.dims
-    half_extents = (w * 0.5, h * 0.5, l * 0.5)  # local x, y, z
-    for axis in range(3):
-        n = rot[:, axis]
-        for sign in (1.0, -1.0):
-            poly = poly.clip_halfspace(center + sign * half_extents[axis] * n, sign * n)
-            if poly is None:
-                return 0.0
-    vol = poly.volume()
-    return min(max(vol, 0.0), min(a.volume, b.volume))
+    """Exact volume of the intersection of two oriented boxes: a one-pair kernel call."""
+    inter = float(_intersection_volumes(_box_arrays([a]), _box_arrays([b]))[0])
+    return min(max(inter, 0.0), min(a.volume, b.volume))
 
 
 def iou3d(a: Box3D, b: Box3D) -> float:
     """3D intersection over union of two boxes, symmetric in its arguments."""
-    # Canonical argument order forces an identical code path for (a, b) and
-    # (b, a), making the symmetry exact.
-    if b._sort_key() < a._sort_key():
-        a, b = b, a
-    inter = intersection_volume(a, b)
-    union = a.volume + b.volume - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(iou3d_matrix([a], [b])[0, 0])
 
 
 def iou3d_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarray:
     """IoU of every pair, shape (len(boxes_a), len(boxes_b)).
 
-    Entry (i, j) equals iou3d(boxes_a[i], boxes_b[j]) bit for bit. Pairs
-    whose axis-aligned bounds are disjoint (the test intersection_volume
-    applies) are rejected for all pairs at once and read exactly 0.0; only
-    the survivors go through iou3d.
+    Pairs whose axis-aligned bounds are disjoint are rejected for all pairs
+    at once and read exactly 0.0. The others go through the intersection
+    kernel, each in a canonical argument order, so entry (i, j) equals
+    iou3d(boxes_a[i], boxes_b[j]) bit for bit and swapping the lists
+    transposes the matrix exactly.
     """
-    out = np.zeros((len(boxes_a), len(boxes_b)))
+    n = len(boxes_a)
+    out = np.zeros((n, len(boxes_b)))
     if out.size == 0:
         return out
-    corners_a = np.stack([box_corners(box) for box in boxes_a])
-    corners_b = np.stack([box_corners(box) for box in boxes_b])
-    lo_a, hi_a = corners_a.min(axis=1), corners_a.max(axis=1)
-    lo_b, hi_b = corners_b.min(axis=1), corners_b.max(axis=1)
-    disjoint = np.any(lo_a[:, None, :] > hi_b[None, :, :], axis=2) | np.any(
-        lo_b[None, :, :] > hi_a[:, None, :], axis=2
-    )
-    for i, j in zip(*np.nonzero(~disjoint)):
-        out[i, j] = iou3d(boxes_a[i], boxes_b[j])
+    boxes = [*boxes_a, *boxes_b]
+    params = centers, rotations, halves = _box_arrays(boxes)
+    extent = _dot(np.abs(rotations), halves[:, None])
+    lo, hi = centers - extent, centers + extent
+    disjoint = np.any(lo[:n, None] > hi[None, n:], axis=2) | np.any(lo[None, n:] > hi[:n, None], axis=2)
+    rows, cols = np.nonzero(~disjoint)
+    swap = np.array([boxes_b[j]._sort_key() < boxes_a[i]._sort_key() for i, j in zip(rows, cols)])
+    first, second = np.where(swap, cols + n, rows), np.where(swap, rows, cols + n)
+    volumes = np.array([box.volume for box in boxes])
+    for k in range(0, rows.size, _BATCH):
+        f, s = first[k : k + _BATCH], second[k : k + _BATCH]
+        inter = _intersection_volumes(tuple(p[f] for p in params), tuple(p[s] for p in params))
+        inter = np.minimum(np.maximum(inter, 0.0), np.minimum(volumes[f], volumes[s]))
+        iou = inter / (volumes[f] + volumes[s] - inter)
+        out[rows[k : k + _BATCH], cols[k : k + _BATCH]] = np.clip(iou, 0.0, 1.0)
     return out

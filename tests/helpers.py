@@ -8,9 +8,12 @@ two independent routes to the same answer.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from roadkit.errors import ValidationError
 from roadkit.evaluation import MatchResult
 from roadkit.formats import AnnotationRecord, DetectionRecord, Occlusion
 from roadkit.geometry import Box3D, EulerOrientation, box_corners, iou3d, rotation_from_euler
@@ -56,9 +59,209 @@ def monte_carlo_intersection(
     while remaining > 0:
         m = min(remaining, chunk)
         pts = rng.uniform(lo, hi, (m, 3))
-        hits += int(np.count_nonzero(point_in_box_mask(a, pts) & point_in_box_mask(b, pts)))
+        # Only the points inside a can be inside both.
+        hits += int(np.count_nonzero(point_in_box_mask(b, pts[point_in_box_mask(a, pts)])))
         remaining -= m
     return hits / n_samples * region
+
+
+# ---------------------------------------------------------------------------
+# Reference box intersection: box a's polytope clipped by box b's half-spaces,
+# a route independent of the library's batched plane-triple kernel.
+
+# Vertices closer than this to a clipping plane are treated as on-plane.
+CLIP_EPS = 1e-9
+
+
+# Face cycles over the corner ordering of box_corners.
+_BOX_FACES = (
+    (0, 1, 3, 2),  # +x
+    (4, 5, 7, 6),  # -x
+    (0, 1, 5, 4),  # +y
+    (2, 3, 7, 6),  # -y
+    (0, 2, 6, 4),  # +z
+    (1, 3, 7, 5),  # -z
+)
+
+
+def _newell_normal(poly: np.ndarray) -> np.ndarray:
+    nxt = np.roll(poly, -1, axis=0)
+    return np.array(
+        [
+            np.sum((poly[:, 1] - nxt[:, 1]) * (poly[:, 2] + nxt[:, 2])),
+            np.sum((poly[:, 2] - nxt[:, 2]) * (poly[:, 0] + nxt[:, 0])),
+            np.sum((poly[:, 0] - nxt[:, 0]) * (poly[:, 1] + nxt[:, 1])),
+        ]
+    )
+
+
+def _dedupe_points(points: np.ndarray, eps: float) -> np.ndarray:
+    kept: list[np.ndarray] = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= eps for q in kept):
+            kept.append(p)
+    return np.asarray(kept)
+
+
+def _order_cap(points: np.ndarray, normal: np.ndarray) -> np.ndarray | None:
+    """Order coplanar points into a convex cycle around their centroid."""
+    pts = _dedupe_points(points, 10.0 * CLIP_EPS)
+    if len(pts) < 3:
+        return None
+    n = normal / np.linalg.norm(normal)
+    seed = np.array([1.0, 0.0, 0.0])
+    if abs(n[0]) > 0.9:
+        seed = np.array([0.0, 1.0, 0.0])
+    u = np.cross(n, seed)
+    u /= np.linalg.norm(u)
+    v = np.cross(n, u)
+    centroid = pts.mean(axis=0)
+    rel = pts - centroid
+    angles = np.arctan2(rel @ v, rel @ u)
+    return pts[np.argsort(angles)]
+
+
+@dataclass(frozen=True)
+class ConvexPolytope:
+    """Convex polytope as vertices plus face index cycles."""
+
+    vertices: np.ndarray
+    faces: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_box(cls, box: Box3D) -> "ConvexPolytope":
+        return cls(vertices=box_corners(box), faces=_BOX_FACES)
+
+    @classmethod
+    def _from_face_points(cls, face_points: Sequence[np.ndarray]) -> "ConvexPolytope":
+        verts: list[np.ndarray] = []
+        index: dict[tuple, int] = {}
+        faces = []
+        for poly in face_points:
+            cycle = []
+            for p in poly:
+                key = tuple(np.round(p, 9))
+                i = index.get(key)
+                if i is None:
+                    i = len(verts)
+                    index[key] = i
+                    verts.append(np.asarray(p, dtype=float))
+                cycle.append(i)
+            faces.append(tuple(cycle))
+        return cls(vertices=np.asarray(verts), faces=tuple(faces))
+
+    def _face_points(self) -> list[np.ndarray]:
+        return [self.vertices[list(f)] for f in self.faces]
+
+    def validate(self, planarity_tol: float = 1e-7) -> None:
+        """Check face planarity, convexity, and nonnegative volume."""
+        centroid = self.vertices.mean(axis=0)
+        for face, poly in zip(self.faces, self._face_points()):
+            if len(poly) < 3:
+                raise ValidationError(f"face {face} has fewer than 3 vertices")
+            n = _newell_normal(poly)
+            norm = np.linalg.norm(n)
+            if norm < 1e-16:
+                continue  # degenerate sliver; contributes no volume
+            nh = n / norm
+            offsets = (poly - poly[0]) @ nh
+            if np.max(np.abs(offsets)) > planarity_tol:
+                raise ValidationError(f"face {face} is not planar within {planarity_tol}")
+            if float(nh @ (poly.mean(axis=0) - centroid)) < 0.0:
+                nh = -nh
+            support = (self.vertices - poly[0]) @ nh
+            if np.max(support) > planarity_tol:
+                raise ValidationError("polytope is not convex: vertex outside a face plane")
+        if self.volume() < -planarity_tol:
+            raise ValidationError("polytope volume is negative")
+
+    def clip_halfspace(
+        self, point: np.ndarray, normal: np.ndarray
+    ) -> "ConvexPolytope | None":
+        """Clip against {x : normal . (x - point) <= 0}; None when empty."""
+        point = np.asarray(point, dtype=float)
+        normal = np.asarray(normal, dtype=float)
+        dist = (self.vertices - point) @ normal
+        if np.all(dist >= -CLIP_EPS):
+            # Nothing lies strictly inside: what is left is empty or flat, and
+            # a flat remnant is not a closed surface that volume() can measure.
+            return None
+        if np.all(dist <= CLIP_EPS):
+            return self  # nothing lies strictly outside
+        new_faces: list[np.ndarray] = []
+        cap: list[np.ndarray] = []
+        for poly in self._face_points():
+            dist = (poly - point) @ normal
+            if np.all(dist >= -CLIP_EPS):
+                # Nothing of this face lies strictly inside: it is cut away,
+                # or it lies in the plane, where the cap stands for it.
+                cap.extend(poly[np.abs(dist) <= CLIP_EPS])
+                continue
+            kept: list[np.ndarray] = []
+            m = len(poly)
+            for i in range(m):
+                j = (i + 1) % m
+                di, dj = dist[i], dist[j]
+                if di <= CLIP_EPS:
+                    kept.append(poly[i])
+                    if abs(di) <= CLIP_EPS:
+                        cap.append(poly[i])
+                if (di > CLIP_EPS and dj < -CLIP_EPS) or (di < -CLIP_EPS and dj > CLIP_EPS):
+                    t = di / (di - dj)
+                    q = poly[i] + t * (poly[j] - poly[i])
+                    kept.append(q)
+                    cap.append(q)
+            if len(kept) >= 3:
+                new_faces.append(np.asarray(kept))
+        if len(cap) >= 3:
+            cap_face = _order_cap(np.asarray(cap), normal)
+            if cap_face is not None:
+                new_faces.append(cap_face)
+        if not new_faces:
+            return None
+        return ConvexPolytope._from_face_points(new_faces)
+
+    def volume(self) -> float:
+        """Enclosed volume via the divergence theorem over outward faces."""
+        centroid = self.vertices.mean(axis=0)
+        total = 0.0
+        for poly in self._face_points():
+            n = _newell_normal(poly)
+            area2 = np.linalg.norm(n)
+            if area2 < 1e-16:
+                continue
+            nh = n / area2
+            face_center = poly.mean(axis=0)
+            if float(nh @ (face_center - centroid)) < 0.0:
+                nh = -nh
+            total += float(nh @ face_center) * area2 * 0.5
+        return total / 3.0
+
+
+def reference_intersection_volume(a: Box3D, b: Box3D) -> float:
+    """Exact volume of the intersection of two oriented boxes, by clipping.
+
+    Box a's polytope is clipped successively against box b's six face
+    half-spaces; the surviving cell's volume comes from the divergence
+    theorem. Touching contact yields 0 within CLIP_EPS.
+    """
+    ca, cb = box_corners(a), box_corners(b)
+    # Disjoint axis-aligned bounds cannot intersect; skip the clipping work.
+    if np.any(ca.min(axis=0) > cb.max(axis=0)) or np.any(cb.min(axis=0) > ca.max(axis=0)):
+        return 0.0
+    poly: ConvexPolytope | None = ConvexPolytope.from_box(a)
+    rot = rotation_from_euler(b.orientation)
+    center = np.asarray(b.center)
+    h, w, l = b.dims
+    half_extents = (w * 0.5, h * 0.5, l * 0.5)  # local x, y, z
+    for axis in range(3):
+        n = rot[:, axis]
+        for sign in (1.0, -1.0):
+            poly = poly.clip_halfspace(center + sign * half_extents[axis] * n, sign * n)
+            if poly is None:
+                return 0.0
+    vol = poly.volume()
+    return min(max(vol, 0.0), min(a.volume, b.volume))
 
 
 def euler_matrix_oracle(yaw: float, pitch: float, roll: float) -> np.ndarray:

@@ -46,6 +46,14 @@ class TestSynthCommand:
             for path in sorted((corpus / sub).iterdir()):
                 assert path.read_text() == (again / sub / path.name).read_text()
 
+    @pytest.mark.parametrize("objects", ["5", "a,b", "1,2,3", "7,3"])
+    def test_bad_objects_exits_1(self, objects, tmp_path, capsys):
+        code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--objects", objects])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestStatsCommand:
     def test_output(self, corpus, capsys):

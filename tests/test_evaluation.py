@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -289,17 +290,18 @@ class TestEvaluate:
                 if g.class_name == d.class_name)
             for frame in manifest.frames
         )
-        calls = []
-        clip = roadkit.geometry.intersection_volume
+        pairs = []
+        kernel = roadkit.geometry._intersection_volumes
 
         def counting(a, b):
-            calls.append((a, b))
-            return clip(a, b)
+            # One key per pair handed over: the bytes of both boxes' arrays.
+            pairs.extend(b"".join(p[k].tobytes() for p in (*a, *b)) for k in range(len(a[0])))
+            return kernel(a, b)
 
-        monkeypatch.setattr(roadkit.geometry, "intersection_volume", counting)
+        monkeypatch.setattr(roadkit.geometry, "_intersection_volumes", counting)
         evaluate(manifest, detections)
-        assert calls
-        assert len(calls) == len(set(calls)) <= same_class_pairs
+        assert pairs
+        assert len(pairs) == len(set(pairs)) <= same_class_pairs
 
     def test_per_class_iou_thresholds(self):
         anns = [make_annotation(frame_id="f0")]
@@ -320,6 +322,19 @@ class TestEvalReportSerialization:
         report = evaluate(manifest, {"f0": [make_detection(score=0.9, frame_id="f0")]})
         again = EvalReport.from_json(report.to_json())
         assert again == report
+
+    def test_per_class_iou_round_trip(self):
+        manifest = single_class_manifest([make_annotation(frame_id="f0")])
+        dets = {"f0": [make_detection(score=0.9, frame_id="f0")]}
+        report = evaluate(manifest, dets, EvalConfig(per_class_iou={"Car": 0.7}))
+        assert report.per_class_iou == {"Car": 0.7}
+        text = report.to_json()
+        assert json.loads(text)["per_class_iou"] == {"Car": 0.7}
+        assert EvalReport.from_json(text) == report
+        # Without overrides the document keeps its old shape.
+        plain = evaluate(manifest, dets).to_json()
+        assert "per_class_iou" not in plain
+        assert EvalReport.from_json(plain).per_class_iou == {}
 
     def test_malformed(self):
         with pytest.raises(SchemaError):
