@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,13 @@ class Intrinsics:
                 [0.0, 0.0, 1.0],
             ]
         )
+
+    @cached_property
+    def _matrix_t(self) -> np.ndarray:
+        """K transposed, built once per instance for project_box."""
+        k = self.matrix
+        k.setflags(write=False)
+        return k.T
 
     @classmethod
     def from_matrix(cls, k: np.ndarray, image_size: tuple[int, int]) -> "Intrinsics":
@@ -195,10 +203,15 @@ def transform_box(
 
 @dataclass(frozen=True)
 class ProjectedBox:
-    """Axis-aligned pixel rectangle of a projected 3D box."""
+    """Axis-aligned pixel rectangle of a projected 3D box.
+
+    `unclipped` is the rectangle before clipping to the image, None when every
+    corner is behind the camera.
+    """
 
     rect: tuple[float, float, float, float] | None  # (x1, y1, x2, y2)
     visible: bool
+    unclipped: tuple[float, float, float, float] | None = None
 
 
 def project_box(
@@ -217,13 +230,14 @@ def project_box(
     front = cam[cam[:, 2] > BEHIND_CAMERA_EPS]
     if len(front) == 0:
         return ProjectedBox(rect=None, visible=False)
-    uv = (front @ intrinsics.matrix.T) / front[:, 2:3]
-    x1, y1 = uv[:, 0].min(), uv[:, 1].min()
-    x2, y2 = uv[:, 0].max(), uv[:, 1].max()
+    uv = (front @ intrinsics._matrix_t) / front[:, 2:3]
+    x1, y1 = float(uv[:, 0].min()), float(uv[:, 1].min())
+    x2, y2 = float(uv[:, 0].max()), float(uv[:, 1].max())
+    unclipped = (x1, y1, x2, y2)
     cx1 = max(x1, 0.0)
     cy1 = max(y1, 0.0)
     cx2 = min(x2, float(intrinsics.image_width))
     cy2 = min(y2, float(intrinsics.image_height))
     if cx1 >= cx2 or cy1 >= cy2:
-        return ProjectedBox(rect=None, visible=False)
-    return ProjectedBox(rect=(float(cx1), float(cy1), float(cx2), float(cy2)), visible=True)
+        return ProjectedBox(rect=None, visible=False, unclipped=unclipped)
+    return ProjectedBox(rect=(cx1, cy1, cx2, cy2), visible=True, unclipped=unclipped)

@@ -24,6 +24,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +63,10 @@ class AnnotationRecord:
             raise ValidationError(f"truncation must be in [0, 1], got {self.truncation}")
         object.__setattr__(self, "occlusion", Occlusion(self.occlusion))
         if self.box2d is not None:
-            object.__setattr__(self, "box2d", tuple(float(v) for v in self.box2d))
+            box2d = tuple(float(v) for v in self.box2d)
+            if len(box2d) != 4:
+                raise ValidationError(f"box2d must hold 4 values (x1, y1, x2, y2), got {box2d}")
+            object.__setattr__(self, "box2d", box2d)
 
 
 @dataclass(frozen=True)
@@ -205,30 +209,28 @@ def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
     return DetectionRecord(score=score, **kwargs)
 
 
+# "%.6g" % v gives the bytes of format(float(v), ".6g") for any real v.
+_KITTI_LINE = "%s %.6g %d" + " %.6g" * 14
+_NO_BOX2D = (-1.0, -1.0, -1.0, -1.0)
+
+
 def _write_kitti_line(record: AnnotationRecord) -> str:
-    if any(ch.isspace() for ch in record.class_name) or not record.class_name:
-        raise SerializationError(f"class name {record.class_name!r} is empty or holds whitespace")
+    name = record.class_name
+    if name.split() != [name]:
+        raise SerializationError(f"class name {name!r} is empty or holds whitespace")
     box = record.box3d
     x, y, z = box.center
+    yaw, pitch, roll = box.orientation.as_tuple()
     # Derive alpha from the rounded values being written so that
     # write -> parse -> write is byte-stable.
-    alpha = float(_fmt(box.orientation.yaw)) - math.atan2(float(_fmt(x)), float(_fmt(z)))
-    rect = record.box2d if record.box2d is not None else (-1.0, -1.0, -1.0, -1.0)
-    tokens = [
-        record.class_name,
-        _fmt(record.truncation),
-        str(int(record.occlusion)),
-        _fmt(alpha),
-        *(_fmt(v) for v in rect),
-        *(_fmt(v) for v in box.dims),
-        *(_fmt(v) for v in box.center),
-        _fmt(box.orientation.yaw),
-        _fmt(box.orientation.pitch),
-        _fmt(box.orientation.roll),
-    ]
+    alpha = float(_fmt(yaw)) - math.atan2(float(_fmt(x)), float(_fmt(z)))
+    rect = record.box2d if record.box2d is not None else _NO_BOX2D
+    line = _KITTI_LINE % (
+        name, record.truncation, record.occlusion, alpha, *rect, *box.dims, x, y, z, yaw, pitch, roll
+    )
     if isinstance(record, DetectionRecord):
-        tokens.append(_fmt(record.score))
-    return " ".join(tokens)
+        line += " %.6g" % record.score
+    return line
 
 
 # --------------------------------------------------------------------------
@@ -359,25 +361,101 @@ def load_manifest(text: str) -> DatasetManifest:
     )
 
 
+# The manifest document as json.dumps(doc, indent=2, sort_keys=True) lays it
+# out: one template per object, its keys sorted, at its fixed nesting depth.
+_MANIFEST = """{
+  "class_taxonomy": %s,
+  "frames": %s,
+  "name": %s
+}"""
+_FRAME = """{
+      "annotations": %s,
+      "calibration_ref": %s,
+      "frame_id": %s,
+      "image_path": %s,
+      "image_size": %s%s
+    }"""
+_TAGS = """,
+      "tags": %s"""
+_ANNOTATION = """{
+          "box2d": %s,
+          "box3d": {
+            "center": [
+              %s,
+              %s,
+              %s
+            ],
+            "dims": [
+              %s,
+              %s,
+              %s
+            ],
+            "pitch": %s,
+            "roll": %s,
+            "yaw": %s
+          },
+          "class_name": %s,
+          "occlusion": %d,%s
+          "truncation": %s
+        }"""
+_SCORE = """
+          "score": %s,"""
+
+
+def _json(value, depth: int) -> str:
+    """One JSON value at nesting depth `depth`, as json.dumps(indent=2) writes it.
+
+    Strings and finite floats are written directly; every other value goes
+    through json.dumps: NaN and infinities, ints, bools, None, float
+    subclasses such as np.float64, and containers, re-indented to the depth.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """A JSON array at nesting depth `depth` of already written items."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _dump_annotation(record: AnnotationRecord) -> str:
+    box = record.box3d
+    orientation = box.orientation
+    box2d = "null" if record.box2d is None else _json_list([_json(v, 6) for v in record.box2d], 5)
+    score = _SCORE % _json(record.score, 5) if isinstance(record, DetectionRecord) else ""
+    return _ANNOTATION % (
+        box2d,
+        *[_json(v, 7) for v in (*box.center, *box.dims)],
+        *[_json(v, 6) for v in (orientation.pitch, orientation.roll, orientation.yaw)],
+        _json(record.class_name, 5), int(record.occlusion), score, _json(record.truncation, 5),
+    )
+
+
+def _dump_frame(frame: FrameRecord) -> str:
+    tags = _TAGS % _json(dict(frame.tags), 3) if frame.tags else ""
+    return _FRAME % (
+        _json_list([_dump_annotation(a) for a in frame.annotations], 3),
+        _json(frame.calibration_ref, 3),
+        _json(frame.frame_id, 3),
+        _json(frame.image_path, 3),
+        _json_list([_json(v, 4) for v in frame.image_size], 3),
+        tags,
+    )
+
+
 def dump_manifest(manifest: DatasetManifest) -> str:
-    frames = []
-    for frame in manifest.frames:
-        fobj = {
-            "frame_id": frame.frame_id,
-            "image_path": frame.image_path,
-            "image_size": list(frame.image_size),
-            "calibration_ref": frame.calibration_ref,
-            "annotations": [_annotation_to_dict(a) for a in frame.annotations],
-        }
-        if frame.tags:
-            fobj["tags"] = dict(frame.tags)
-        frames.append(fobj)
-    doc = {
-        "name": manifest.name,
-        "class_taxonomy": list(manifest.class_taxonomy),
-        "frames": frames,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Manifest JSON text, byte for byte what json.dumps(indent=2, sort_keys=True) writes."""
+    return _MANIFEST % (
+        _json_list([_json(c, 2) for c in manifest.class_taxonomy], 1),
+        _json_list([_dump_frame(f) for f in manifest.frames], 1),
+        _json(manifest.name, 1),
+    )
 
 
 # --------------------------------------------------------------------------

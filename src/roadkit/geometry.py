@@ -93,14 +93,17 @@ def euler_from_rotation(matrix: np.ndarray) -> EulerOrientation:
     return EulerOrientation(yaw, pitch, roll)
 
 
+_EYE3 = np.eye(3)
+
+
 def validate_rotation(matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Check orthonormality and det = +1; return the matrix as float ndarray."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValidationError(f"rotation matrix must be 3x3, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("rotation matrix holds non-finite entries")
-    if np.max(np.abs(m.T @ m - np.eye(3))) > tol:
+    if np.abs(m.T @ m - _EYE3).max() > tol:
         raise ValidationError("rotation matrix is not orthonormal")
     if abs(np.linalg.det(m) - 1.0) > tol:
         raise ValidationError("rotation matrix determinant is not +1")
@@ -146,6 +149,10 @@ class Box3D:
         return (self.center, self.dims, self.orientation.as_tuple())
 
 
+# Corner k's signs along local x, y, z: bit 2, 1, 0 of k, where 0 means +.
+_CORNER_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+
+
 def box_corners(box: Box3D) -> np.ndarray:
     """Return the 8 corners of a box, shape (8, 3).
 
@@ -155,15 +162,7 @@ def box_corners(box: Box3D) -> np.ndarray:
     coordinates.
     """
     h, w, l = box.dims
-    signs = np.array(
-        [
-            [sx, sy, sz]
-            for sx in (1.0, -1.0)
-            for sy in (1.0, -1.0)
-            for sz in (1.0, -1.0)
-        ]
-    )
-    local = signs * (np.array([w, h, l]) * 0.5)
+    local = _CORNER_SIGNS * (np.array([w, h, l]) * 0.5)
     rot = rotation_from_euler(box.orientation)
     return np.asarray(box.center) + local @ rot.T
 

@@ -23,14 +23,7 @@ from .formats import (
     FrameRecord,
     Occlusion,
 )
-from .geometry import (
-    Box3D,
-    EulerOrientation,
-    box_corners,
-    euler_from_rotation,
-    normalize_angle,
-    rot_z,
-)
+from .geometry import Box3D, EulerOrientation, euler_from_rotation, normalize_angle
 
 # Nominal (h, w, l) per class, meters.
 NOMINAL_DIMS = {
@@ -61,6 +54,12 @@ class SceneConfig:
             raise ValidationError(f"horizontal fov must be in (0, 180), got {self.horizontal_fov_deg}")
         if self.max_range <= 0.0:
             raise ValidationError(f"max_range must be positive, got {self.max_range}")
+        # False positives are drawn at depths in [min_range, 0.9 * max_range].
+        if not (0.0 < self.min_range <= 0.9 * self.max_range):
+            raise ValidationError(
+                f"need 0 < min_range <= 0.9 * max_range, got min_range={self.min_range}, "
+                f"max_range={self.max_range}"
+            )
         lo, hi = self.pitch_range_deg
         if not (-90.0 < lo <= hi < 0.0):
             raise ValidationError(f"pitch range must lie within (-90, 0), got {self.pitch_range_deg}")
@@ -68,8 +67,10 @@ class SceneConfig:
         if omin < 0 or omax < omin:
             raise ValidationError(f"bad objects_per_frame range {self.objects_per_frame}")
         for name, weight in self.class_mix:
-            if name not in NOMINAL_DIMS or weight < 0.0:
+            if name not in NOMINAL_DIMS or not (0.0 <= weight < math.inf):
                 raise ValidationError(f"bad class mix entry ({name!r}, {weight})")
+        if not (0.0 < sum(weight for _, weight in self.class_mix) < math.inf):
+            raise ValidationError(f"class mix needs a positive finite total weight, got {self.class_mix}")
 
     def intrinsics(self) -> Intrinsics:
         width, height = self.image_size
@@ -129,20 +130,27 @@ def _camera_pose(pitch_deg: float, camera_height: float) -> RigidTransform:
 
 
 def _world_box_rotation(yaw_world: float) -> np.ndarray:
-    """Rotation of a ground object in world axes: length along heading, height up."""
-    heading = rot_z(yaw_world) @ np.array([1.0, 0.0, 0.0])
-    down = np.array([0.0, 0.0, -1.0])
-    right = np.cross(down, heading)
-    return np.column_stack([right, down, heading])
+    """Rotation of a ground object in world axes: length along heading, height up.
+
+    The columns are right = down x heading, down = -z and heading = R_z(yaw) e_x,
+    written out entry by entry as np.cross computes them, signed zeros included;
+    "+ 0.0" maps -0.0 to 0.0 as the sums of the product R_z(yaw) e_x do.
+    """
+    c, s = math.cos(yaw_world) + 0.0, math.sin(yaw_world) + 0.0
+    return np.array([[s, 0.0, c], [-c, 0.0, s], [0.0 * s - 0.0 * c, -1.0, 0.0]])
 
 
-def _pick_class(rng: np.random.Generator, mix: tuple[tuple[str, float], ...]) -> str:
-    names = [name for name, _ in mix]
+def _class_sampler(mix: tuple[tuple[str, float], ...]) -> tuple[list[str], np.ndarray]:
+    """Class names and the normalised CDF of their weights, as rng.choice builds it."""
     weights = np.array([w for _, w in mix], dtype=float)
-    total = weights.sum()
-    if total <= 0.0:
-        raise GenerationError("class mix has zero total weight")
-    return names[int(rng.choice(len(names), p=weights / total))]
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return [name for name, _ in mix], cdf
+
+
+def _pick_class(rng: np.random.Generator, names: list[str], cdf: np.ndarray) -> str:
+    """Draw one class: the same draw and result as rng.choice(len(names), p=weights)."""
+    return names[int(cdf.searchsorted(rng.random(), side="right"))]
 
 
 @dataclass(frozen=True)
@@ -164,12 +172,13 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
     intrinsics = config.intrinsics()
     count = int(rng.integers(config.objects_per_frame[0], config.objects_per_frame[1] + 1))
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
+    names, cdf = _class_sampler(config.class_mix)
     annotations = []
     fid = frame_id if frame_id is not None else f"synth-{seed:016x}"
     for _ in range(count):
         placed = False
         for _attempt in range(200):
-            class_name = _pick_class(rng, config.class_mix)
+            class_name = _pick_class(rng, names, cdf)
             h0, w0, l0 = NOMINAL_DIMS[class_name]
             scale = rng.uniform(0.9, 1.1, size=3)
             dims = (h0 * scale[0], w0 * scale[1], l0 * scale[2])
@@ -188,9 +197,10 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
             projected = project_box(intrinsics, box)
             if not projected.visible:
                 continue
-            raw = _unclipped_extent(intrinsics, box)
+            x1, y1, x2, y2 = projected.unclipped
+            raw = (x2 - x1) * (y2 - y1)
             truncation = 0.0
-            if raw is not None and raw > 0.0:
+            if raw > 0.0:
                 rect = projected.rect
                 clipped_area = (rect[2] - rect[0]) * (rect[3] - rect[1])
                 truncation = min(1.0, max(0.0, 1.0 - clipped_area / raw))
@@ -224,15 +234,6 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
     )
     calibration = CalibrationSet(intrinsics=intrinsics, transforms=(extrinsics,))
     return SceneSample(frame=frame, calibration=calibration, pitch_deg=pitch_deg)
-
-
-def _unclipped_extent(intrinsics: Intrinsics, box: Box3D) -> float | None:
-    corners = box_corners(box)
-    front = corners[corners[:, 2] > 1e-6]
-    if len(front) == 0:
-        return None
-    uv = (front @ intrinsics.matrix.T) / front[:, 2:3]
-    return float((uv[:, 0].max() - uv[:, 0].min()) * (uv[:, 1].max() - uv[:, 1].min()))
 
 
 def generate_corpus(
@@ -307,8 +308,9 @@ def corrupt_detections(
             )
         )
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
+    names, cdf = _class_sampler(config.class_mix)
     for _ in range(int(rng.poisson(noise.fp_rate))):
-        class_name = _pick_class(rng, config.class_mix)
+        class_name = _pick_class(rng, names, cdf)
         h0, w0, l0 = NOMINAL_DIMS[class_name]
         depth = float(rng.uniform(config.min_range, config.max_range * 0.9))
         x = depth * math.tan(rng.uniform(-half_fov * 0.8, half_fov * 0.8))

@@ -7,6 +7,7 @@ two independent routes to the same answer.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +16,7 @@ import numpy as np
 
 from roadkit.errors import ValidationError
 from roadkit.evaluation import MatchResult
-from roadkit.formats import AnnotationRecord, DetectionRecord, Occlusion
+from roadkit.formats import AnnotationRecord, DatasetManifest, DetectionRecord, Occlusion
 from roadkit.geometry import Box3D, EulerOrientation, box_corners, iou3d, rotation_from_euler
 
 
@@ -474,3 +475,72 @@ def make_detection(score=1.0, **kwargs) -> DetectionRecord:
         frame_id=ann.frame_id,
         score=score,
     )
+
+
+def reference_dump_manifest(manifest: DatasetManifest) -> str:
+    """The manifest document through json.dumps(indent=2, sort_keys=True)."""
+    frames = []
+    for frame in manifest.frames:
+        annotations = []
+        for record in frame.annotations:
+            box = record.box3d
+            obj = {
+                "class_name": record.class_name,
+                "truncation": record.truncation,
+                "occlusion": int(record.occlusion),
+                "box2d": list(record.box2d) if record.box2d is not None else None,
+                "box3d": {
+                    "center": list(box.center),
+                    "dims": list(box.dims),
+                    "yaw": box.orientation.yaw,
+                    "pitch": box.orientation.pitch,
+                    "roll": box.orientation.roll,
+                },
+            }
+            if isinstance(record, DetectionRecord):
+                obj["score"] = record.score
+            annotations.append(obj)
+        fobj = {
+            "frame_id": frame.frame_id,
+            "image_path": frame.image_path,
+            "image_size": list(frame.image_size),
+            "calibration_ref": frame.calibration_ref,
+            "annotations": annotations,
+        }
+        if frame.tags:
+            fobj["tags"] = dict(frame.tags)
+        frames.append(fobj)
+    doc = {
+        "name": manifest.name,
+        "class_taxonomy": list(manifest.class_taxonomy),
+        "frames": frames,
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _fmt6g(value) -> str:
+    return format(float(value), ".6g")
+
+
+def reference_kitti_line(record: AnnotationRecord) -> str:
+    """One kitti_ext line, each number through format(float(v), ".6g")."""
+    box = record.box3d
+    x, y, z = box.center
+    yaw = box.orientation.yaw
+    alpha = float(_fmt6g(yaw)) - math.atan2(float(_fmt6g(x)), float(_fmt6g(z)))
+    rect = record.box2d if record.box2d is not None else (-1.0, -1.0, -1.0, -1.0)
+    tokens = [
+        record.class_name,
+        _fmt6g(record.truncation),
+        str(int(record.occlusion)),
+        _fmt6g(alpha),
+        *(_fmt6g(v) for v in rect),
+        *(_fmt6g(v) for v in box.dims),
+        *(_fmt6g(v) for v in box.center),
+        _fmt6g(yaw),
+        _fmt6g(box.orientation.pitch),
+        _fmt6g(box.orientation.roll),
+    ]
+    if isinstance(record, DetectionRecord):
+        tokens.append(_fmt6g(record.score))
+    return " ".join(tokens)

@@ -223,6 +223,16 @@ class TestProjectBox:
         assert projected.visible
         assert projected.rect[0] == 0.0
 
+    def test_unclipped_rect(self):
+        intr = make_intrinsics()
+        inside = project_box(intr, Box3D(center=(0, 0, 30), dims=(2, 2, 4)))
+        assert inside.unclipped == inside.rect
+        clipped = project_box(intr, Box3D(center=(-9, 0, 10), dims=(2, 2, 4)))
+        assert clipped.unclipped[0] < clipped.rect[0] == 0.0
+        assert clipped.unclipped[1:] == clipped.rect[1:]
+        outside = project_box(intr, Box3D(center=(500, 0, 10), dims=(2, 2, 4)))
+        assert outside.unclipped[0] > intr.image_width
+
     def test_known_projected_height(self):
         # 2 m tall box at 50 m with f = 1000 spans 40 px vertically.
         intr = make_intrinsics()

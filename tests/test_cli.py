@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,15 @@ class TestSynthCommand:
             for path in sorted((corpus / sub).iterdir()):
                 assert path.read_text() == (again / sub / path.name).read_text()
 
+    @pytest.mark.parametrize("max_range", ["5", "8.8", "0", "-3"])
+    def test_bad_max_range_exits_1(self, max_range, tmp_path, capsys):
+        code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--max-range", max_range])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize("objects", ["5", "a,b", "1,2,3", "7,3"])
     def test_bad_objects_exits_1(self, objects, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--objects", objects])
@@ -53,6 +63,47 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+
+# sha256 of every file `roadkit synth --frames 6 --seed 11` writes under the
+# reference noise, recorded before the generator and writers were sped up.
+SYNTH_SEED_11_DIGESTS = {
+    "calib/calib-synth-11-000000.json": "a297e9c1439b2ac43edf6d71ecbad1abe9e2ef2dae898049f8c8eed39d850a7e",
+    "calib/calib-synth-11-000001.json": "9683cc272aeaebcf4a6c1ca088e76f1bb573ee937355fcfab12b49627e33cee6",
+    "calib/calib-synth-11-000002.json": "9884d4cfd75861a58a159f8d6e2527063aa82a568a56c1dbc73e7e8bd1a4bb4f",
+    "calib/calib-synth-11-000003.json": "edd9b4d5c462a52d5222406526bdbd8a0969a6dcca14ed3529857133294fb299",
+    "calib/calib-synth-11-000004.json": "d1bd477703dab53b0775cd8ddddd8d51dfba83e49e08608f27547c034b89b784",
+    "calib/calib-synth-11-000005.json": "d9a9ab9e915fc1e610a496b38946a24435bf60fec8570ee748a42d29c5716387",
+    "detections/synth-11-000000.txt": "368fcb93ebac32a86cd90228c101fe89338e9a3b0e211584daff5d20f7113e28",
+    "detections/synth-11-000001.txt": "a95c45e454a5fac3d0c160a9a2588e5f2550784160e113328a57e30c96e3383c",
+    "detections/synth-11-000002.txt": "acc93a7fcffa5cf1a1c32848c97c590b235cae9b3172d8261eef408add5bc546",
+    "detections/synth-11-000003.txt": "541bef83c85b52b03b723b619cd047b666d27d6f04dc276217b22e960fd7345d",
+    "detections/synth-11-000004.txt": "93225de934ff1e7764a129bfcc723419f739b28165385fd95c85e47089d9fd99",
+    "detections/synth-11-000005.txt": "11f7535160a3e30a065e95940d80b09c8f08a541eb2a86db9200da6f7d20a6d0",
+    "labels/synth-11-000000.txt": "d5b8b21ae0302d2acc520a50b7032be9edc7c1ebb8aa8bf35301c742d07f46da",
+    "labels/synth-11-000001.txt": "e9fc8b03ec22b3e163ac80b6b0763ca4de6127a53de95e98463f9e419b2223ae",
+    "labels/synth-11-000002.txt": "234a15b836e3c44561f73c257348fabb949687e730efc9761836479c4efd78ae",
+    "labels/synth-11-000003.txt": "1781286ef7b2031471aa260d1ce6f0760b12044a9c364e399f1ad3ffdbb1cfb8",
+    "labels/synth-11-000004.txt": "7b423e86ed5c2ddbe41723e35f4b061baaad71881a0cceac22ce85b6c3df26eb",
+    "labels/synth-11-000005.txt": "e784e9f8d0da64890f2f1365cc148b4f9a91ed17b7799675e2810422ce088983",
+    "manifest.json": "921b4197b25b293a46ef1a85e3bc145abb2203d063ff907a34acd334682ecb3e",
+}
+REFERENCE_NOISE = [
+    "--drop-rate", "0.2", "--center-sigma", "0.4", "--dim-sigma", "0.1",
+    "--angle-sigma", "0.05", "--fp-rate", "2.0",
+]
+
+
+class TestSynthOutputPin:
+    def test_files_match_pinned_digests(self, tmp_path):
+        out = tmp_path / "pin"
+        assert main(["synth", "--out", str(out), "--frames", "6", "--seed", "11", *REFERENCE_NOISE]) == 0
+        digests = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        assert digests == SYNTH_SEED_11_DIGESTS
 
 
 class TestStatsCommand:

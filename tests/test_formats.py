@@ -31,7 +31,7 @@ from roadkit.formats import (
 )
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
-from helpers import make_annotation, make_detection
+from helpers import make_annotation, make_detection, reference_dump_manifest, reference_kitti_line
 
 
 BASE_LINE = "Car 0 0 0.1 100 200 300 400 1.5 1.8 4.2 2 1 20 0.5"
@@ -72,6 +72,15 @@ class TestRecords:
             make_detection(score=1.5)
         with pytest.raises(ValidationError):
             make_detection(score=-0.1)
+
+    @pytest.mark.parametrize("box2d", [(), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0, 5.0)])
+    def test_box2d_needs_four_values(self, box2d):
+        with pytest.raises(ValidationError):
+            make_annotation(box2d=box2d)
+        frame = FrameRecord("f0", annotations=(make_annotation(),))
+        text = dump_manifest(DatasetManifest(name="m", class_taxonomy=("Car",), frames=(frame,)))
+        with pytest.raises(ValidationError):
+            load_manifest(text.replace('"box2d": null', '"box2d": %s' % list(box2d)))
 
     def test_occlusion_coerced(self):
         ann = AnnotationRecord(class_name="Car", box3d=Box3D((0, 0, 10), (1, 1, 1)), occlusion=2)
@@ -275,6 +284,133 @@ class TestManifestJson:
     def test_malformed_frame(self):
         with pytest.raises(SchemaError):
             load_manifest('{"frames": [{"image_path": "a.png"}]}')
+
+
+# Strings that JSON must escape or that only ensure_ascii keeps in ASCII.
+json_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f697'), st.characters()),
+    max_size=8,
+)
+
+
+class TestManifestWriter:
+    """dump_manifest is byte-equal to json.dumps(doc, indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def assert_matches_reference(manifest):
+        assert dump_manifest(manifest) == reference_dump_manifest(manifest)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=json_text,
+        classes=st.lists(json_text, min_size=1, max_size=3, unique=True),
+        frame_ids=st.lists(json_text, max_size=3, unique=True),
+        paths=st.tuples(json_text, json_text),
+        tags=st.dictionaries(json_text, json_text, max_size=3),
+    )
+    def test_strings_property(self, name, classes, frame_ids, paths, tags):
+        frames = [
+            FrameRecord(
+                frame_id=fid,
+                image_path=paths[0],
+                calibration_ref=paths[1],
+                annotations=tuple(
+                    make_annotation(class_name=c, frame_id=fid) for c in classes[: i + 1]
+                ),
+                tags=tags,
+            )
+            for i, fid in enumerate(frame_ids)
+        ]
+        self.assert_matches_reference(
+            DatasetManifest(name=name, class_taxonomy=tuple(classes), frames=tuple(frames))
+        )
+
+    def test_empty_manifest(self):
+        self.assert_matches_reference(DatasetManifest(name="", class_taxonomy=()))
+        self.assert_matches_reference(
+            DatasetManifest(name="empty", class_taxonomy=(), frames=(FrameRecord(frame_id="f0"),))
+        )
+
+    @pytest.mark.parametrize(
+        "box2d",
+        [
+            None,
+            (1.0, 2.5, 300.25, 400.0),
+            (math.nan, 0.0, 1.0, 2.0),
+            (-math.inf, 0.0, math.inf, -0.0),
+        ],
+    )
+    def test_box2d(self, box2d):
+        record = make_annotation(box2d=box2d)
+        self.assert_matches_reference(
+            DatasetManifest(
+                name="m", class_taxonomy=("Car",), frames=(FrameRecord("f0", annotations=(record,)),)
+            )
+        )
+
+    @pytest.mark.parametrize("value", [0, 1, True, False, np.float64(0.25), 0.125, 1e-7])
+    def test_number_types(self, value):
+        records = (
+            make_annotation(truncation=value),
+            make_detection(truncation=value, score=value),
+        )
+        self.assert_matches_reference(
+            DatasetManifest(
+                name="m", class_taxonomy=("Car",), frames=(FrameRecord("f0", annotations=records),)
+            )
+        )
+
+    def test_mixed_records_with_and_without_tags(self):
+        rng = np.random.default_rng(17)
+        frames = tuple(
+            FrameRecord(
+                frame_id=f"f{i}",
+                image_path=f"images/f{i}.png",
+                image_size=(1920, 1080),
+                calibration_ref="cam0",
+                annotations=tuple(
+                    random_record(rng, with_score=bool(rng.integers(0, 2)), frame_id=f"f{i}")
+                    for _ in range(4)
+                ),
+                tags={"time": "day", "weather": "foggy"} if i % 2 else {},
+            )
+            for i in range(4)
+        )
+        manifest = DatasetManifest(
+            name="mixed", class_taxonomy=("Bus", "Car", "Pedestrian", "Truck"), frames=frames
+        )
+        self.assert_matches_reference(manifest)
+        records = [ann for frame in frames for ann in frame.annotations]
+        by_frame = {}
+        for r in records:
+            by_frame.setdefault(r.frame_id, []).append(r)
+        expected = DatasetManifest(
+            name="labels",
+            class_taxonomy=sorted({r.class_name for r in records}),
+            frames=[FrameRecord(frame_id=fid, annotations=anns) for fid, anns in by_frame.items()],
+        )
+        assert write_labels(records, "manifest_json") == reference_dump_manifest(expected)
+
+    def test_non_string_tag_values(self):
+        frame = FrameRecord("f0", tags={"count": 3, "nested": [1, {"b": None, "a": 2.5}], "x": "y"})
+        self.assert_matches_reference(DatasetManifest(name="m", class_taxonomy=(), frames=(frame,)))
+
+    def test_kitti_lines_match_per_token_reference(self):
+        extremes = (-0.0, 1e-7, 1e21, 3, -2.5e-9)
+        records = [
+            make_annotation(center=(x, 1.0, 20.0), dims=(1.5, 1.8, 4.2), yaw=-0.0)
+            for x in extremes
+        ] + [
+            make_annotation(center=(1.0, y, 1e21), dims=(1e-7, 1e21, 2), box2d=(0, -0.0, 1e21, 1e-7))
+            for y in extremes
+        ] + [
+            make_detection(truncation=t, score=s, occlusion=o, yaw=a, pitch=-0.0, roll=1e-7)
+            for t, s, o, a in [(0, 1, 0, -0.0), (1, 0, 3, 1e-7), (True, np.float64(0.5), 2, 3)]
+        ]
+        rng = np.random.default_rng(23)
+        records += [random_record(rng, with_score=bool(rng.integers(0, 2))) for _ in range(50)]
+        expected = "".join(reference_kitti_line(r) + "\n" for r in records)
+        assert write_labels(records, "kitti_ext") == expected
 
 
 class TestCalibration:

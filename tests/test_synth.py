@@ -7,13 +7,16 @@ from roadkit.camera import project_box
 from roadkit.errors import GenerationError, ValidationError
 from roadkit.evaluation import evaluate
 from roadkit.formats import Occlusion
-from roadkit.geometry import box_corners, rotation_from_euler
+from roadkit.geometry import box_corners, rot_z, rotation_from_euler
 from roadkit.synth import (
     NOMINAL_DIMS,
     TIME_TAGS,
     WEATHER_TAGS,
     NoiseSpec,
     SceneConfig,
+    _class_sampler,
+    _pick_class,
+    _world_box_rotation,
     corrupt_detections,
     generate_corpus,
     generate_scene,
@@ -48,6 +51,17 @@ class TestSceneConfig:
             SceneConfig(objects_per_frame=(5, 2))
         with pytest.raises(ValidationError):
             SceneConfig(class_mix=(("Bike", 1.0),))
+        # Objects are placed at [min_range, 0.95 max_range] and false
+        # positives at [min_range, 0.9 max_range].
+        for min_range, max_range in ((8.0, 5.0), (9.5, 10.0), (0.0, 150.0), (-1.0, 150.0)):
+            with pytest.raises(ValidationError):
+                SceneConfig(min_range=min_range, max_range=max_range)
+        SceneConfig(min_range=9.0, max_range=10.0)
+        for mix in ((), (("Car", 0.0),), (("Car", 0.0), ("Bus", 0.0)), (("Car", math.nan),),
+                    (("Car", math.inf),), (("Car", -0.5), ("Bus", 1.0)), (("Car", 1e308), ("Bus", 1e308))):
+            with pytest.raises(ValidationError):
+                SceneConfig(class_mix=mix)
+        SceneConfig(class_mix=(("Car", 0.0), ("Bus", 2.0)))
 
     def test_noise_validation(self):
         with pytest.raises(ValidationError):
@@ -56,6 +70,48 @@ class TestSceneConfig:
             NoiseSpec(fp_rate=-1.0)
         with pytest.raises(ValidationError):
             NoiseSpec(score_scale=0.0)
+
+
+class TestSceneHelpers:
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            (("Car", 0.7), ("Truck", 0.15), ("Bus", 0.15)),
+            (("Bus", 3.0), ("Car", 0.0), ("Truck", 1.0)),
+            (("Truck", 1e-3), ("Car", 2.5), ("Bus", 0.1), ("Car", 0.4)),
+        ],
+    )
+    def test_class_sampler_matches_rng_choice(self, mix):
+        names, cdf = _class_sampler(mix)
+        weights = np.array([w for _, w in mix])
+        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+        for _ in range(10_000):
+            expected = mix[int(theirs.choice(len(mix), p=weights / weights.sum()))][0]
+            assert _pick_class(ours, names, cdf) == expected
+        assert ours.random() == theirs.random()
+
+    def test_zero_weight_class_not_drawn_on_a_cdf_step(self):
+        class FixedDraw:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        names, cdf = _class_sampler((("Car", 0.0), ("Bus", 3.0), ("Truck", 0.0), ("Bus", 1.0)))
+        for u in (0.0, 0.75, 0.999):
+            assert _pick_class(FixedDraw(u), names, cdf) == "Bus"
+
+    def test_world_box_rotation_matches_cross_product(self):
+        yaws = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, -1e-300]
+        yaws += list(np.random.default_rng(5).uniform(-math.pi, math.pi, 500))
+        down = np.array([0.0, 0.0, -1.0])
+        for yaw in yaws:
+            heading = rot_z(yaw) @ np.array([1.0, 0.0, 0.0])
+            expected = np.column_stack([np.cross(down, heading), down, heading])
+            got = _world_box_rotation(yaw)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestGenerateScene:
