@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .formats import AnnotationRecord, DatasetManifest, DetectionRecord
-from .geometry import iou3d_matrix, rotation_from_euler
+from .geometry import _iou_sweep, iou3d_matrix, rotation_from_euler
 
 LEVELS = (DifficultyLevel.EASY, DifficultyLevel.MODERATE, DifficultyLevel.HARD)
 LEVEL_NAMES = {
@@ -59,17 +59,18 @@ def match_frame(
     such a GT is ignored rather than counted as a false positive.
     """
     ignored_gt = frozenset(ignored_gt or ())
-    rows, cols, ious = _class_matrix(gts, dets, class_name)
+    rows, cols = _class_indices(gts, dets, class_name)
+    ious = iou3d_matrix([gts[i].box3d for i in rows], [dets[i].box3d for i in cols])
     ignored = np.array([i in ignored_gt for i in rows], dtype=bool)
     return _match_ranked(ious, rows, cols, ignored, iou_threshold)
 
 
-def _class_matrix(
+def _class_indices(
     gts: Sequence[AnnotationRecord],
     dets: Sequence[DetectionRecord],
     class_name: str | None,
-) -> tuple[list[int], list[int], np.ndarray]:
-    """(GT indices, detection indices, IoU matrix) of one class in one frame.
+) -> tuple[list[int], list[int]]:
+    """(GT indices, detection indices) of one class in one frame.
 
     GT rows keep input order; detection columns are in processing order,
     descending score with ties by input order. class_name None takes all.
@@ -79,8 +80,7 @@ def _class_matrix(
         (i for i, d in enumerate(dets) if class_name is None or d.class_name == class_name),
         key=lambda i: -dets[i].score,
     )
-    ious = iou3d_matrix([gts[i].box3d for i in rows], [dets[i].box3d for i in cols])
-    return rows, cols, ious
+    return rows, cols
 
 
 def _match_ranked(
@@ -90,7 +90,7 @@ def _match_ranked(
     ignored: np.ndarray,
     iou_threshold: float,
 ) -> MatchResult:
-    """Greedy matching as index work on one IoU matrix from _class_matrix.
+    """Greedy matching as index work on one class's IoU matrix in one frame.
 
     ignored masks the don't-care rows. Each column in turn takes the open
     row of highest IoU at or above the threshold, the first such row on
@@ -303,22 +303,29 @@ def evaluate(
         (name, level): [] for name in manifest.class_taxonomy for level in LEVELS
     }
     npos = dict.fromkeys(flags, 0)
+    # Gather every (frame, class) group, take all their IoU matrices from one
+    # kernel sweep, then match each group at every level.
+    groups = []
     for frame in frames:
         gts = frame.annotations
         dets = grouped.get(frame.frame_id, [])
         difficulties = [_gt_difficulty(g) for g in gts]
         for cls_name in manifest.class_taxonomy:
-            rows, cols, ious = _class_matrix(gts, dets, cls_name)
-            for level in LEVELS:
-                # IGNORED ranks above every level, so it is always don't-care.
-                ignored = np.array([difficulties[i] > level for i in rows], dtype=bool)
-                result = _match_ranked(ious, rows, cols, ignored, config.threshold_for(cls_name))
-                cell = flags[(cls_name, level)]
-                npos[(cls_name, level)] += len(rows) - int(np.count_nonzero(ignored))
-                for _, di, _ in result.pairs:
-                    cell.append((dets[di].score, len(cell), True))
-                for di in result.unmatched_det:
-                    cell.append((dets[di].score, len(cell), False))
+            rows, cols = _class_indices(gts, dets, cls_name)
+            boxes = ([gts[i].box3d for i in rows], [dets[i].box3d for i in cols])
+            groups.append((dets, difficulties, cls_name, rows, cols, boxes))
+    matrices = _iou_sweep([group[-1] for group in groups])
+    for (dets, difficulties, cls_name, rows, cols, _), ious in zip(groups, matrices):
+        for level in LEVELS:
+            # IGNORED ranks above every level, so it is always don't-care.
+            ignored = np.array([difficulties[i] > level for i in rows], dtype=bool)
+            result = _match_ranked(ious, rows, cols, ignored, config.threshold_for(cls_name))
+            cell = flags[(cls_name, level)]
+            npos[(cls_name, level)] += len(rows) - int(np.count_nonzero(ignored))
+            for _, di, _ in result.pairs:
+                cell.append((dets[di].score, len(cell), True))
+            for di in result.unmatched_det:
+                cell.append((dets[di].score, len(cell), False))
     cells: dict[str, dict[str, EvalCell]] = {}
     for cls_name in manifest.class_taxonomy:
         by_level: dict[str, EvalCell] = {}

@@ -145,9 +145,6 @@ class Box3D:
         h, w, l = self.dims
         return h * w * l
 
-    def _sort_key(self):
-        return (self.center, self.dims, self.orientation.as_tuple())
-
 
 # Corner k's signs along local x, y, z: bit 2, 1, 0 of k, where 0 means +.
 _CORNER_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
@@ -179,10 +176,9 @@ _VERTEX_PLANES = (2 * _TRIPLE_AXES[:, None] + (_TRIPLE_SIGNS < 0)).reshape(-1, 3
 # The 40 candidate vertices on each plane, and the two box axes spanning it.
 _FACE_VERTICES = np.array([np.flatnonzero(np.any(_VERTEX_PLANES == k, axis=1)) for k in range(12)])
 _FACE_UV = np.stack([_PLANE_AXIS // 3 * 3 + (_PLANE_AXIS + k) % 3 for k in (1, 2)])[..., None]
-_NEXT = np.roll(np.arange(_FACE_VERTICES.shape[1]), -1)
 _PLANE_EPS = 1e-9  # a vertex this close outside a plane is inside it
 _PARALLEL_EPS = 1e-12  # unit normals this close per component are parallel
-_BATCH = 8  # pairs per kernel call; bounds the working set
+_BATCH = 32  # pairs per kernel call; bounds the working set at about 43 KB a pair
 
 
 # A pair gets the same bits in any batch: np.sum and matmul may reorder their
@@ -228,16 +224,24 @@ def _intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
     usable = np.repeat(solvable, len(_TRIPLE_SIGNS), axis=1) & ~np.any(redundant[:, _VERTEX_PLANES], 2)
     feasible = usable & np.all(np.abs(coords) <= half[..., None] + _PLANE_EPS, axis=1)
 
+    # Each face's vertices first, in candidate order, in as many slots as the
+    # widest face of the batch holds; empty slots add zeros to the sums below.
+    member = feasible[:, _FACE_VERTICES]
+    width = max(int(np.count_nonzero(member, axis=2).max(initial=0)), 1)
+    slot = np.argsort(~member, axis=2, kind="stable")[..., :width]
+    member = np.take_along_axis(member, slot, axis=2)[:, None]
+    vertex = _FACE_VERTICES[np.arange(12)[:, None], slot][:, None]
+    uv = np.where(member, coords[np.arange(len(axes))[:, None, None, None], _FACE_UV, vertex], 0.0)
+
     # Face vertices in the two axes spanning the face, about their centroid,
     # ordered by angle; padding with the first vertex adds zero-length edges.
-    member = feasible[:, None, _FACE_VERTICES]
-    uv = np.where(member, coords[:, _FACE_UV, _FACE_VERTICES], 0.0)
     uv -= _sum(uv)[..., None] / np.maximum(np.count_nonzero(member, axis=3), 1)[..., None]
     angle = np.where(member[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf)
     order = np.argsort(angle, axis=2, kind="stable")[:, None]
     uv, member = np.take_along_axis(uv, order, axis=3), np.take_along_axis(member, order, axis=3)
     x, y = np.where(member, uv, uv[..., :1]).transpose(1, 0, 2, 3)
-    area = 0.5 * _sum(x * y[..., _NEXT] - x[..., _NEXT] * y)
+    following = np.roll(np.arange(width), -1)
+    area = 0.5 * _sum(x * y[..., following] - x[..., following] * y)
 
     # Face heights above the mean of the vertices, an interior point.
     inner = _sum(np.where(feasible[:, None], coords, 0.0))
@@ -246,11 +250,33 @@ def _intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
     return _sum(area * height) / 3.0
 
 
+def _rotations(angles: Sequence[tuple[float, float, float]]) -> np.ndarray:
+    """rotation_from_euler of each (yaw, pitch, roll), as one stacked product."""
+    product = None
+    for k, axis in enumerate((1, 0, 2)):  # R_y(yaw) @ R_x(pitch) @ R_z(roll)
+        p, q = (axis + 1) % 3, (axis + 2) % 3
+        factor = np.zeros((len(angles), 3, 3))
+        factor[:, axis, axis] = 1.0
+        factor[:, p, p] = factor[:, q, q] = [math.cos(angle[k]) for angle in angles]
+        sin = np.array([math.sin(angle[k]) for angle in angles])
+        factor[:, q, p], factor[:, p, q] = sin, -sin
+        product = factor if product is None else np.matmul(product, factor)
+    return product
+
+
 def _box_arrays(boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(centers, rotations, half extents along local x, y, z) of boxes."""
-    centers = np.array([box.center for box in boxes])
-    rotations = np.array([rotation_from_euler(box.orientation) for box in boxes])
-    return centers, rotations, np.array([(b.width, b.height, b.length) for b in boxes]) * 0.5
+    centers = np.array([box.center for box in boxes]).reshape(-1, 3)
+    rotations = _rotations([box.orientation.as_tuple() for box in boxes])
+    halves = np.array([(b.width, b.height, b.length) for b in boxes]).reshape(-1, 3) * 0.5
+    return centers, rotations, halves
+
+
+def _precedes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x < y compared as tuples: the first unequal column decides."""
+    differ = x != y
+    first = np.argmax(differ, axis=1)[:, None]
+    return np.take_along_axis(differ & (x < y), first, axis=1)[:, 0]
 
 
 def intersection_volume(a: Box3D, b: Box3D) -> float:
@@ -273,23 +299,49 @@ def iou3d_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarr
     iou3d(boxes_a[i], boxes_b[j]) bit for bit and swapping the lists
     transposes the matrix exactly.
     """
-    n = len(boxes_a)
-    out = np.zeros((n, len(boxes_b)))
-    if out.size == 0:
-        return out
-    boxes = [*boxes_a, *boxes_b]
-    params = centers, rotations, halves = _box_arrays(boxes)
+    return _iou_sweep([(boxes_a, boxes_b)])[0]
+
+
+def _iou_sweep(groups: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]) -> list[np.ndarray]:
+    """iou3d_matrix of each (boxes_a, boxes_b) group, from one kernel sweep.
+
+    Gathers the AABB-surviving pairs of every group, runs them all through
+    the kernel in batches of _BATCH pairs, and scatters the IoUs back into
+    each group's matrix. Each pair goes in a canonical argument order: the
+    box whose (center, dims, yaw, pitch, roll) is smaller as a tuple first.
+    """
+    boxes = [box for group in groups for side in group for box in side]
+    centers, rotations, halves = params = _box_arrays(boxes)
     extent = _dot(np.abs(rotations), halves[:, None])
     lo, hi = centers - extent, centers + extent
-    disjoint = np.any(lo[:n, None] > hi[None, n:], axis=2) | np.any(lo[None, n:] > hi[:n, None], axis=2)
-    rows, cols = np.nonzero(~disjoint)
-    swap = np.array([boxes_b[j]._sort_key() < boxes_a[i]._sort_key() for i, j in zip(rows, cols)])
-    first, second = np.where(swap, cols + n, rows), np.where(swap, rows, cols + n)
+    keys = np.array([(*b.center, *b.dims, *b.orientation.as_tuple()) for b in boxes]).reshape(-1, 9)
+    cells, first, second = [], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    start = 0
+    for boxes_a, boxes_b in groups:
+        mid = start + len(boxes_a)
+        end = mid + len(boxes_b)
+        disjoint = np.any(lo[start:mid, None] > hi[None, mid:end], axis=2)
+        disjoint |= np.any(lo[None, mid:end] > hi[start:mid, None], axis=2)
+        rows, cols = np.nonzero(~disjoint)
+        i, j = rows + start, cols + mid
+        swap = _precedes(keys[j], keys[i])
+        first.append(np.where(swap, j, i))
+        second.append(np.where(swap, i, j))
+        cells.append((rows, cols))
+        start = end
+    first, second = np.concatenate(first), np.concatenate(second)
+    inter = np.zeros(first.size)
+    for k in range(0, first.size, _BATCH):
+        batch = slice(k, k + _BATCH)
+        pair_a, pair_b = (tuple(p[side[batch]] for p in params) for side in (first, second))
+        inter[batch] = _intersection_volumes(pair_a, pair_b)
     volumes = np.array([box.volume for box in boxes])
-    for k in range(0, rows.size, _BATCH):
-        f, s = first[k : k + _BATCH], second[k : k + _BATCH]
-        inter = _intersection_volumes(tuple(p[f] for p in params), tuple(p[s] for p in params))
-        inter = np.minimum(np.maximum(inter, 0.0), np.minimum(volumes[f], volumes[s]))
-        iou = inter / (volumes[f] + volumes[s] - inter)
-        out[rows[k : k + _BATCH], cols[k : k + _BATCH]] = np.clip(iou, 0.0, 1.0)
+    inter = np.minimum(np.maximum(inter, 0.0), np.minimum(volumes[first], volumes[second]))
+    iou = np.clip(inter / (volumes[first] + volumes[second] - inter), 0.0, 1.0)
+    out, k = [], 0
+    for (boxes_a, boxes_b), (rows, cols) in zip(groups, cells):
+        matrix = np.zeros((len(boxes_a), len(boxes_b)))
+        matrix[rows, cols] = iou[k : k + rows.size]
+        out.append(matrix)
+        k += rows.size
     return out

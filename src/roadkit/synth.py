@@ -246,6 +246,8 @@ def generate_corpus(
     """
     from .datasets import splitmix64
 
+    if n_frames < 0:
+        raise ValidationError(f"number of frames must be >= 0, got {n_frames}")
     frames = []
     calibrations: dict[str, CalibrationSet] = {}
     for i in range(n_frames):

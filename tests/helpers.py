@@ -42,7 +42,8 @@ def point_in_box_mask(box: Box3D, points: np.ndarray) -> np.ndarray:
     local = (points - np.asarray(box.center)) @ rot
     h, w, l = box.dims
     half = np.array([w, h, l]) / 2.0
-    return np.all(np.abs(local) <= half, axis=1)
+    inside = np.abs(local) <= half
+    return inside[:, 0] & inside[:, 1] & inside[:, 2]
 
 
 def monte_carlo_intersection(
@@ -59,7 +60,10 @@ def monte_carlo_intersection(
     remaining = n_samples
     while remaining > 0:
         m = min(remaining, chunk)
-        pts = rng.uniform(lo, hi, (m, 3))
+        # The draws and the values of rng.uniform(lo, hi, (m, 3)), in place.
+        pts = rng.random((m, 3))
+        pts *= hi - lo
+        pts += lo
         # Only the points inside a can be inside both.
         hits += int(np.count_nonzero(point_in_box_mask(b, pts[point_in_box_mask(a, pts)])))
         remaining -= m
@@ -263,6 +267,54 @@ def reference_intersection_volume(a: Box3D, b: Box3D) -> float:
                 return 0.0
     vol = poly.volume()
     return min(max(vol, 0.0), min(a.volume, b.volume))
+
+
+def padded_intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
+    """The batched kernel as it was before its face stage was compacted.
+
+    Same arguments and plane-triple stage as roadkit.geometry's
+    _intersection_volumes, but each of the 12 faces keeps all 40 candidate
+    slots through the centroid, angle sort and shoelace sum. The library's
+    kernel must give the same bits.
+    """
+    from roadkit.geometry import (
+        _FACE_UV, _FACE_VERTICES, _PARALLEL_EPS, _PLANE_AXIS, _PLANE_EPS, _PLANE_SIGN,
+        _TRIPLE_AXES, _TRIPLE_SIGNS, _VERTEX_PLANES, _dot, _sum,
+    )
+
+    axes = np.concatenate([a[1], b[1]], axis=2).transpose(0, 2, 1)
+    half = np.concatenate([a[2], b[2]], axis=1)
+    proj = np.concatenate([np.zeros_like(a[2]), _dot(axes[:, 3:], (b[0] - a[0])[:, None])], axis=1)
+    normals = axes[:, _PLANE_AXIS] * _PLANE_SIGN[:, None]
+    offsets = _PLANE_SIGN * proj[:, _PLANE_AXIS] + half[:, _PLANE_AXIS]
+    aligned = np.all(np.abs(normals[:, :6, None] - normals[:, None, 6:]) <= _PARALLEL_EPS, axis=3)
+    b_outer = offsets[:, None, 6:] >= offsets[:, :6, None]
+    redundant = np.hstack([np.any(aligned & ~b_outer, axis=2), np.any(aligned & b_outer, axis=1)])
+    triple = axes[:, _TRIPLE_AXES]
+    cofactors = np.cross(triple[:, :, [1, 2, 0]], triple[:, :, [2, 0, 1]])
+    det = _dot(triple[:, :, 0], cofactors[:, :, 0])
+    solvable = np.abs(det) > _PARALLEL_EPS
+    level = proj[:, _TRIPLE_AXES[:, None]] + _TRIPLE_SIGNS * half[:, _TRIPLE_AXES[:, None]]
+    points = _dot(level[..., None, :], cofactors.swapaxes(2, 3)[:, :, None])
+    points = (points / np.where(solvable, det, 1.0)[..., None, None]).reshape(len(axes), -1, 3)
+    coords = _dot(axes[:, :, None], points[:, None]) - proj[..., None]
+    usable = np.repeat(solvable, len(_TRIPLE_SIGNS), axis=1) & ~np.any(redundant[:, _VERTEX_PLANES], 2)
+    feasible = usable & np.all(np.abs(coords) <= half[..., None] + _PLANE_EPS, axis=1)
+
+    member = feasible[:, None, _FACE_VERTICES]
+    uv = np.where(member, coords[:, _FACE_UV, _FACE_VERTICES], 0.0)
+    uv -= _sum(uv)[..., None] / np.maximum(np.count_nonzero(member, axis=3), 1)[..., None]
+    angle = np.where(member[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf)
+    order = np.argsort(angle, axis=2, kind="stable")[:, None]
+    uv, member = np.take_along_axis(uv, order, axis=3), np.take_along_axis(member, order, axis=3)
+    x, y = np.where(member, uv, uv[..., :1]).transpose(1, 0, 2, 3)
+    following = np.roll(np.arange(_FACE_VERTICES.shape[1]), -1)
+    area = 0.5 * _sum(x * y[..., following] - x[..., following] * y)
+
+    inner = _sum(np.where(feasible[:, None], coords, 0.0))
+    inner /= np.maximum(np.count_nonzero(feasible, axis=1), 1)[:, None]
+    height = half[:, _PLANE_AXIS] - _PLANE_SIGN * inner[:, _PLANE_AXIS]
+    return _sum(area * height) / 3.0
 
 
 def euler_matrix_oracle(yaw: float, pitch: float, roll: float) -> np.ndarray:

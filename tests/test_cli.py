@@ -56,6 +56,18 @@ class TestSynthCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
 
+    def test_negative_frames_exits_1(self, tmp_path, capsys):
+        code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "-3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
+    def test_zero_frames_writes_empty_corpus(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "c"), "--frames", "0"]) == 0
+        assert json.loads((tmp_path / "c" / "manifest.json").read_text())["frames"] == []
+
     @pytest.mark.parametrize("objects", ["5", "a,b", "1,2,3", "7,3"])
     def test_bad_objects_exits_1(self, objects, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--objects", objects])

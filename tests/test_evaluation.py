@@ -276,15 +276,20 @@ class TestEvaluate:
                 for level in ("easy", "moderate", "hard"):
                     assert report.cells[cls][level].ap == expected[cls][level]
 
-    def test_each_pair_clipped_at_most_once(self, monkeypatch):
+    @staticmethod
+    def _noisy_corpus(n_frames=4):
         config = SceneConfig(objects_per_frame=(10, 14))
-        manifest, _ = generate_corpus(config, 4, seed=61)
+        manifest, _ = generate_corpus(config, n_frames, seed=61)
         noise = NoiseSpec(drop_rate=0.2, fp_rate=2.0, center_sigma=0.4, dim_sigma=0.1,
                           angle_sigma=0.05)
         detections = {
             frame.frame_id: corrupt_detections(frame, noise, seed=67 + i, config=config)
             for i, frame in enumerate(manifest.frames)
         }
+        return manifest, detections
+
+    def test_each_pair_clipped_at_most_once(self, monkeypatch):
+        manifest, detections = self._noisy_corpus()
         same_class_pairs = sum(
             sum(1 for g in frame.annotations for d in detections[frame.frame_id]
                 if g.class_name == d.class_name)
@@ -302,6 +307,26 @@ class TestEvaluate:
         evaluate(manifest, detections)
         assert pairs
         assert len(pairs) == len(set(pairs)) <= same_class_pairs
+
+    def test_one_kernel_sweep(self, monkeypatch):
+        # All surviving pairs of all (frame, class) groups share one sweep:
+        # ceil(P / _BATCH) kernel calls for P pairs, every one but the last full.
+        manifest, detections = self._noisy_corpus(12)
+        calls = []
+        kernel = roadkit.geometry._intersection_volumes
+
+        def counting(a, b):
+            calls.append(len(a[0]))
+            return kernel(a, b)
+
+        monkeypatch.setattr(roadkit.geometry, "_intersection_volumes", counting)
+        report = evaluate(manifest, detections)
+        batch = roadkit.geometry._BATCH
+        assert sum(calls) > 2 * batch
+        assert len(calls) == -(-sum(calls) // batch)
+        assert all(n == batch for n in calls[:-1])
+        monkeypatch.undo()
+        assert report == evaluate(manifest, detections)
 
     def test_per_class_iou_thresholds(self):
         anns = [make_annotation(frame_id="f0")]

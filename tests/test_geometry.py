@@ -21,13 +21,16 @@ from roadkit.geometry import (
     rotation_from_euler,
     validate_rotation,
 )
-from roadkit.geometry import _box_arrays, _intersection_volumes
+import roadkit.geometry
+from roadkit.geometry import _BATCH, _box_arrays, _intersection_volumes, _iou_sweep, _precedes
 
 from helpers import (
     ConvexPolytope,
     euler_matrix_oracle,
     monte_carlo_intersection,
+    padded_intersection_volumes,
     random_box,
+    random_orientation,
     reference_intersection_volume,
 )
 
@@ -305,13 +308,83 @@ class TestIoUMatrix:
         a, b = _matrix_box_sets(53)
         assert np.array_equal(iou3d_matrix(b, a), iou3d_matrix(a, b).T)
 
+    def test_pair_order_matches_tuple_comparison(self):
+        # Rows of nine box parameters that tie, differ in the last bit, or
+        # differ only in the sign of a zero, which compares equal.
+        values = (0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), -1.0,
+                  5e-324, -5e-324)
+        rng = np.random.default_rng(79)
+        x = rng.choice(values, (4000, 9))
+        y = x.copy()
+        for row, k in enumerate(rng.integers(0, 10, len(x))):
+            y[row, k:] = rng.choice(values, 9 - k)
+        y[::7] = np.where(y[::7] == 0.0, -y[::7], y[::7])
+        expected = np.array([tuple(p) < tuple(q) for p, q in zip(x.tolist(), y.tolist())])
+        reverse = np.array([tuple(q) < tuple(p) for p, q in zip(x.tolist(), y.tolist())])
+        assert np.array_equal(_precedes(x, y), expected)
+        assert np.array_equal(_precedes(y, x), reverse)
+        ties = ~expected & ~reverse
+        assert expected.sum() > 100 and reverse.sum() > 100 and ties.sum() > 100
+        assert np.any(ties & np.any(np.signbit(x) != np.signbit(y), axis=1))
+
+    def test_box_arrays_rotations_equal_rotation_from_euler(self):
+        # Bit for bit, signed zeros included, at pitch 0, roll 0 and pitch +/- pi/2.
+        special = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 1.0)
+        rng = np.random.default_rng(73)
+        orientations = [EulerOrientation(y, p, r) for y in special for p in special for r in special]
+        orientations += [random_orientation(rng) for _ in range(200)]
+        boxes = [Box3D(center=(0, 0, 0), dims=(1, 1, 1), orientation=o) for o in orientations]
+        expected = np.array([rotation_from_euler(o) for o in orientations])
+        assert _box_arrays(boxes)[1].tobytes() == expected.tobytes()
+        assert np.count_nonzero(expected == 0.0) > 100  # zero entries, whose signs are compared
+
+
+class TestIoUSweep:
+    """One kernel sweep over many (boxes_a, boxes_b) groups."""
+
+    def test_groups_equal_iou3d_matrix(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        a, b = _matrix_box_sets(43)
+        far = [Box3D(center=(50, 0, 0), dims=(1, 1, 1)), Box3D(center=(0, 50, 0), dims=(2, 1, 1))]
+        groups = [([], []), (a, b), ([], b), (a[:3], []), (a[:4], far), (b, a), (a[:1], b[:1])]
+        groups += [([random_box(rng) for _ in range(n)], [random_box(rng) for _ in range(m)])
+                   for n, m in ((5, 7), (9, 3), (1, 1))]
+        calls = []
+        kernel = roadkit.geometry._intersection_volumes
+
+        def counting(x, y):
+            calls.append(len(x[0]))
+            return kernel(x, y)
+
+        monkeypatch.setattr(roadkit.geometry, "_intersection_volumes", counting)
+        swept = _iou_sweep(groups)
+        # Full batches, then one partial one: ceil(pairs / _BATCH) calls.
+        assert sum(calls) > 2 * _BATCH
+        assert len(calls) == -(-sum(calls) // _BATCH)
+        assert all(n == _BATCH for n in calls[:-1])
+        assert len(swept) == len(groups)
+        for (boxes_a, boxes_b), out in zip(groups, swept):
+            expected = iou3d_matrix(boxes_a, boxes_b)
+            assert out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
+        calls.clear()
+        assert not iou3d_matrix(a[:4], far).any()
+        assert calls == []  # no pair of that group survives the AABB test
+
+    def test_no_groups(self):
+        assert _iou_sweep([]) == []
+
+
+def _random_pairs() -> list[tuple[Box3D, Box3D]]:
+    rng = np.random.default_rng(59)
+    return [(random_box(rng), random_box(rng)) for _ in range(2000)]
+
 
 class TestKernelAgainstReference:
     """The batched kernel against the half-space clipper in tests/helpers.py."""
 
     def test_random_pairs(self):
-        rng = np.random.default_rng(59)
-        pairs = [(random_box(rng), random_box(rng)) for _ in range(2000)]
+        pairs = _random_pairs()
         reference = np.array([reference_intersection_volume(a, b) for a, b in pairs])
         single = np.array([intersection_volume(a, b) for a, b in pairs])
         assert np.max(np.abs(single - reference)) <= 1e-12
@@ -322,6 +395,16 @@ class TestKernelAgainstReference:
                                       _box_arrays([b for _, b in pairs]))
         bounds = [min(a.volume, b.volume) for a, b in pairs]
         assert np.array_equal(np.minimum(np.maximum(batch, 0.0), bounds), single)
+
+    def test_compacted_faces_equal_padded_kernel(self):
+        pairs = _random_pairs()
+        a = _box_arrays([a for a, _ in pairs])
+        b = _box_arrays([b for _, b in pairs])
+        batch = _intersection_volumes(a, b)
+        assert batch.tobytes() == padded_intersection_volumes(a, b).tobytes()
+        single = [_intersection_volumes(tuple(p[k : k + 1] for p in a), tuple(p[k : k + 1] for p in b))
+                  for k in range(len(pairs))]
+        assert np.concatenate(single).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("seed", (43, 47))
     def test_matrix_box_sets(self, seed):

@@ -198,6 +198,12 @@ class TestGenerateCorpus:
         manifest, _ = generate_corpus(SMALL, n_frames=4, seed=33)
         assert len({f.annotations for f in manifest.frames}) == 4
 
+    def test_frame_count_must_not_be_negative(self):
+        with pytest.raises(ValidationError):
+            generate_corpus(SMALL, n_frames=-3, seed=33)
+        manifest, calibrations = generate_corpus(SMALL, n_frames=0, seed=33)
+        assert manifest.frames == () and calibrations == {}
+
 
 class TestCorruptDetections:
     def test_zero_noise_copies_ground_truth(self):
