@@ -4,15 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BehindCameraError, FrameMismatchError, ValidationError
 from .geometry import (
     Box3D,
+    EulerOrientation,
+    _box_arrays,
+    _euler_angles,
+    _first_invalid_rotation,
     box_corners,
-    euler_from_rotation,
-    rotation_from_euler,
     validate_rotation,
 )
 
@@ -192,13 +195,29 @@ def transform_box(
             f"box frame {box_frame!r} does not match transform source "
             f"{extrinsics.source_frame!r}"
         )
-    center = extrinsics.apply(np.asarray(box.center))
-    rot = extrinsics.rotation @ rotation_from_euler(box.orientation)
-    return Box3D(
-        center=tuple(center),
-        dims=box.dims,
-        orientation=euler_from_rotation(rot),
-    )
+    return _transform_boxes(extrinsics, [box])[0]
+
+
+def _transform_boxes(extrinsics: RigidTransform, boxes: Sequence[Box3D]) -> list[Box3D]:
+    """transform_box of each box, with one stacked product per quantity.
+
+    Each center goes through the same 1x3 row product as extrinsics.apply,
+    and each rotation through the same 3x3 product, so every box gets the
+    bits of a one-box call. The rotations are checked as validate_rotation
+    checks them; the boxes before the first one it rejects are built first,
+    as one call per box would build them.
+    """
+    centers, rotations, _ = _box_arrays(boxes)
+    centers = np.matmul(centers[:, None, :], extrinsics.rotation.T)[:, 0] + extrinsics.translation
+    rotations = np.matmul(extrinsics.rotation, rotations)
+    stop, fault = _first_invalid_rotation(rotations)
+    moved = [
+        Box3D(center=center, dims=box.dims, orientation=EulerOrientation(*_euler_angles(rot)))
+        for center, box, rot in zip(centers[:stop].tolist(), boxes, rotations[:stop].tolist())
+    ]
+    if fault is not None:
+        raise ValidationError(fault)
+    return moved
 
 
 @dataclass(frozen=True)

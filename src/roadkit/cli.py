@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .camera import transform_box
+from .camera import _transform_boxes
 from .datasets import make_split
 from .errors import RoadkitError, ValidationError
 from .evaluation import (
@@ -53,6 +54,7 @@ def _object_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def _build_parser() -> _Parser:
     parser = _Parser(prog="roadkit", description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true", help="chatty progress logs")
@@ -127,10 +129,8 @@ def _cmd_transform(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for label_file in sorted(Path(args.labels).glob("*.txt")):
         records = parse_labels(label_file.read_text(), "kitti_ext")
-        moved = [
-            dataclasses.replace(record, box3d=transform_box(rigid, record.box3d))
-            for record in records
-        ]
+        boxes = _transform_boxes(rigid, [record.box3d for record in records])
+        moved = [dataclasses.replace(record, box3d=box) for record, box in zip(records, boxes)]
         (out_dir / label_file.name).write_text(write_labels(moved, "kitti_ext"))
     return 0
 
@@ -157,9 +157,9 @@ def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
 
 
 def _cmd_eval(args) -> int:
+    config = EvalConfig(iou_threshold=args.iou, interpolation=args.interpolation)
     manifest = load_manifest(_read(args.gt))
     detections = _load_detection_dir(Path(args.pred))
-    config = EvalConfig(iou_threshold=args.iou, interpolation=args.interpolation)
     report = evaluate(manifest, detections, config)
     print(render_report([ReportRow(report=report, eval_set=manifest.name)]), end="")
     if args.out_json:

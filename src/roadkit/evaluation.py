@@ -180,6 +180,15 @@ class EvalConfig:
     per_class_iou: dict[str, float] = field(default_factory=dict)
     interpolation: str = "r40"
 
+    def __post_init__(self):
+        if not (0.0 < self.iou_threshold < 1.0):  # NaN fails too
+            raise ValidationError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
+        for class_name, threshold in self.per_class_iou.items():
+            if not (0.0 < threshold < 1.0):
+                raise ValidationError(
+                    f"iou threshold of class {class_name!r} must be in (0, 1), got {threshold}"
+                )
+
     def threshold_for(self, class_name: str) -> float:
         return self.per_class_iou.get(class_name, self.iou_threshold)
 

@@ -61,9 +61,10 @@ class AnnotationRecord:
     def __post_init__(self):
         if not (0.0 <= self.truncation <= 1.0):
             raise ValidationError(f"truncation must be in [0, 1], got {self.truncation}")
-        object.__setattr__(self, "occlusion", Occlusion(self.occlusion))
+        if type(self.occlusion) is not Occlusion:
+            object.__setattr__(self, "occlusion", Occlusion(self.occlusion))
         if self.box2d is not None:
-            box2d = tuple(float(v) for v in self.box2d)
+            box2d = tuple(map(float, self.box2d))
             if len(box2d) != 4:
                 raise ValidationError(f"box2d must hold 4 values (x1, y1, x2, y2), got {box2d}")
             object.__setattr__(self, "box2d", box2d)
@@ -136,33 +137,47 @@ _KITTI_FIELDS = (
     "x1", "y1", "x2", "y2",
     "h", "w", "l", "x", "y", "z", "yaw",
 )
+_NO_BOX2D = (-1.0, -1.0, -1.0, -1.0)
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def _parse_float(token: str, line_no: int, name: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ParseError(f"cannot parse {token!r} as a number", line=line_no, field=name)
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite value {token!r}", line=line_no, field=name)
-    return value
+# Field names of the columns after the class, by column count.
+_KITTI_COLUMNS = {
+    n: _KITTI_FIELDS[1:] + tail
+    for n, tail in (
+        (15, ()),
+        (16, ("score",)),
+        (17, ("pitch", "roll")),
+        (18, ("pitch", "roll", "score")),
+    )
+}
 
 
 def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
     tokens = line.split()
-    if len(tokens) not in (15, 16, 17, 18):
+    names = _KITTI_COLUMNS.get(len(tokens))
+    if names is None:
         raise ParseError(
             f"expected 15-18 columns, got {len(tokens)}", line=line_no, field=None
         )
-    class_name = tokens[0]
-    truncation = _parse_float(tokens[1], line_no, "truncation")
+    try:
+        values = [float(token) for token in tokens[1:]]
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        for token, name in zip(tokens[1:], names):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(f"cannot parse {token!r} as a number", line=line_no, field=name)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {token!r}", line=line_no, field=name)
+    truncation, occlusion_value, _alpha, x1, y1, x2, y2, h, w, l, x, y, z, yaw = values[:14]
     if not (0.0 <= truncation <= 1.0):
         raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
-    occlusion_value = _parse_float(tokens[2], line_no, "occlusion")
     if not occlusion_value.is_integer():
         raise ParseError(
             f"occlusion {tokens[2]!r} is not an integer", line=line_no, field="occlusion"
@@ -171,47 +186,21 @@ def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
         occlusion = Occlusion(int(occlusion_value))
     except ValueError:
         raise ValidationError(f"occlusion {tokens[2]!r} out of range 0-3 (line {line_no})")
-    _parse_float(tokens[3], line_no, "alpha")  # observation angle; not retained
-    rect = tuple(
-        _parse_float(tokens[4 + i], line_no, _KITTI_FIELDS[4 + i]) for i in range(4)
-    )
-    box2d = None if all(v == -1.0 for v in rect) else rect
-    h = _parse_float(tokens[8], line_no, "h")
-    w = _parse_float(tokens[9], line_no, "w")
-    l = _parse_float(tokens[10], line_no, "l")
-    x = _parse_float(tokens[11], line_no, "x")
-    y = _parse_float(tokens[12], line_no, "y")
-    z = _parse_float(tokens[13], line_no, "z")
-    yaw = _parse_float(tokens[14], line_no, "yaw")
-    pitch = roll = 0.0
-    score = None
-    rest = tokens[15:]
-    if len(rest) == 1:
-        score = _parse_float(rest[0], line_no, "score")
-    elif len(rest) >= 2:
-        pitch = _parse_float(rest[0], line_no, "pitch")
-        roll = _parse_float(rest[1], line_no, "roll")
-        if len(rest) == 3:
-            score = _parse_float(rest[2], line_no, "score")
+    rect = (x1, y1, x2, y2)
+    box2d = None if rect == _NO_BOX2D else rect
+    rest = values[14:]
+    pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
     try:
         box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
     except ValidationError as exc:
         raise ValidationError(f"{exc} (line {line_no})") from exc
-    kwargs = dict(
-        class_name=class_name,
-        truncation=truncation,
-        occlusion=occlusion,
-        box2d=box2d,
-        box3d=box3d,
-    )
-    if score is None:
-        return AnnotationRecord(**kwargs)
-    return DetectionRecord(score=score, **kwargs)
+    if len(rest) % 2 == 0:  # no score column
+        return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d)
+    return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=rest[-1])
 
 
 # "%.6g" % v gives the bytes of format(float(v), ".6g") for any real v.
 _KITTI_LINE = "%s %.6g %d" + " %.6g" * 14
-_NO_BOX2D = (-1.0, -1.0, -1.0, -1.0)
 
 
 def _write_kitti_line(record: AnnotationRecord) -> str:

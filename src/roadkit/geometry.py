@@ -25,6 +25,8 @@ TAU = 2.0 * math.pi
 
 def normalize_angle(angle: float) -> float:
     """Map an angle in radians to the canonical range (-pi, pi]."""
+    if -math.pi < angle <= math.pi:
+        return float(angle)  # math.remainder(angle, TAU) is angle itself here
     if not math.isfinite(angle):
         raise ValidationError(f"angle must be finite, got {angle!r}")
     r = math.remainder(angle, TAU)
@@ -76,21 +78,25 @@ def euler_from_rotation(matrix: np.ndarray) -> EulerOrientation:
     When pitch is within ~1e-6 of +/- pi/2 the yaw/roll axes align; the
     residual rotation is folded into yaw and roll is reported as 0.
     """
-    m = np.asarray(matrix, dtype=float)
-    validate_rotation(m)
-    sp = -m[1, 2]
+    m = validate_rotation(matrix)
+    return EulerOrientation(*_euler_angles(m.tolist()))
+
+
+def _euler_angles(m: Sequence[Sequence[float]]) -> tuple[float, float, float]:
+    """(yaw, pitch, roll) of an already validated rotation, given as rows."""
+    sp = -m[1][2]
     sp = min(1.0, max(-1.0, sp))
     pitch = math.asin(sp)
     if math.sqrt(1.0 - sp * sp) > 1e-6:
-        yaw = math.atan2(m[0, 2], m[2, 2])
-        roll = math.atan2(m[1, 0], m[1, 1])
+        yaw = math.atan2(m[0][2], m[2][2])
+        roll = math.atan2(m[1][0], m[1][1])
     elif sp > 0.0:
-        yaw = math.atan2(m[0, 1], m[0, 0])
+        yaw = math.atan2(m[0][1], m[0][0])
         roll = 0.0
     else:
-        yaw = math.atan2(-m[0, 1], m[0, 0])
+        yaw = math.atan2(-m[0][1], m[0][0])
         roll = 0.0
-    return EulerOrientation(yaw, pitch, roll)
+    return yaw, pitch, roll
 
 
 _EYE3 = np.eye(3)
@@ -110,6 +116,27 @@ def validate_rotation(matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return m
 
 
+def _first_invalid_rotation(matrices: np.ndarray, tol: float = 1e-6) -> tuple[int, str | None]:
+    """validate_rotation over a (N, 3, 3) stack in one pass.
+
+    Returns the index of the first matrix it rejects with the message it
+    raises for that matrix, or (N, None) when every matrix passes.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(matrices).all(axis=(1, 2))
+        skewed = np.abs(np.matmul(matrices.swapaxes(1, 2), matrices) - _EYE3).max(axis=(1, 2)) > tol
+        tilted = np.abs(np.linalg.det(matrices) - 1.0) > tol
+    faults = ~finite | skewed | tilted
+    if not faults.any():
+        return len(matrices), None
+    k = int(np.argmax(faults))
+    if not finite[k]:
+        return k, "rotation matrix holds non-finite entries"
+    if skewed[k]:
+        return k, "rotation matrix is not orthonormal"
+    return k, "rotation matrix determinant is not +1"
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center (x, y, z), dimensions (h, w, l), orientation."""
@@ -119,11 +146,11 @@ class Box3D:
     orientation: EulerOrientation = EulerOrientation()
 
     def __post_init__(self):
-        center = tuple(float(v) for v in self.center)
-        dims = tuple(float(v) for v in self.dims)
-        if len(center) != 3 or not all(math.isfinite(v) for v in center):
+        center = tuple(map(float, self.center))
+        dims = tuple(map(float, self.dims))
+        if len(center) != 3 or not all(map(math.isfinite, center)):
             raise ValidationError(f"box center must be 3 finite values, got {center}")
-        if len(dims) != 3 or not all(math.isfinite(v) and v > 0.0 for v in dims):
+        if len(dims) != 3 or not all(map(math.isfinite, dims)) or min(dims) <= 0.0:
             raise ValidationError(f"box dims (h, w, l) must be positive, got {dims}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", dims)

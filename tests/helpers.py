@@ -14,10 +14,19 @@ from typing import Sequence
 
 import numpy as np
 
-from roadkit.errors import ValidationError
+from roadkit.camera import RigidTransform
+from roadkit.errors import FrameMismatchError, ParseError, ValidationError
 from roadkit.evaluation import MatchResult
 from roadkit.formats import AnnotationRecord, DatasetManifest, DetectionRecord, Occlusion
-from roadkit.geometry import Box3D, EulerOrientation, box_corners, iou3d, rotation_from_euler
+from roadkit.geometry import (
+    TAU,
+    Box3D,
+    EulerOrientation,
+    box_corners,
+    iou3d,
+    rotation_from_euler,
+    validate_rotation,
+)
 
 
 def random_orientation(rng: np.random.Generator) -> EulerOrientation:
@@ -596,3 +605,120 @@ def reference_kitti_line(record: AnnotationRecord) -> str:
     if isinstance(record, DetectionRecord):
         tokens.append(_fmt6g(record.score))
     return " ".join(tokens)
+
+
+def reference_normalize_angle(angle: float) -> float:
+    """normalize_angle through math.remainder for every finite angle."""
+    if not math.isfinite(angle):
+        raise ValidationError(f"angle must be finite, got {angle!r}")
+    r = math.remainder(angle, TAU)
+    if r <= -math.pi:
+        r += TAU
+    return r
+
+
+def _reference_euler(matrix: np.ndarray) -> EulerOrientation:
+    """euler_from_rotation, indexing the validated ndarray per entry."""
+    m = validate_rotation(matrix)
+    sp = -m[1, 2]
+    sp = min(1.0, max(-1.0, sp))
+    pitch = math.asin(sp)
+    if math.sqrt(1.0 - sp * sp) > 1e-6:
+        yaw = math.atan2(m[0, 2], m[2, 2])
+        roll = math.atan2(m[1, 0], m[1, 1])
+    elif sp > 0.0:
+        yaw = math.atan2(m[0, 1], m[0, 0])
+        roll = 0.0
+    else:
+        yaw = math.atan2(-m[0, 1], m[0, 0])
+        roll = 0.0
+    return EulerOrientation(yaw, pitch, roll)
+
+
+def reference_transform_box(
+    extrinsics: RigidTransform, box: Box3D, box_frame: str | None = None
+) -> Box3D:
+    """transform_box one box at a time: apply, a 3x3 product, validate, decompose."""
+    if box_frame is not None and box_frame != extrinsics.source_frame:
+        raise FrameMismatchError(
+            f"box frame {box_frame!r} does not match transform source "
+            f"{extrinsics.source_frame!r}"
+        )
+    center = extrinsics.apply(np.asarray(box.center))
+    rot = extrinsics.rotation @ rotation_from_euler(box.orientation)
+    return Box3D(center=tuple(center), dims=box.dims, orientation=_reference_euler(rot))
+
+
+_KITTI_FIELDS = (
+    "class", "truncation", "occlusion", "alpha",
+    "x1", "y1", "x2", "y2",
+    "h", "w", "l", "x", "y", "z", "yaw",
+)
+
+
+def _parse_float(token: str, line_no: int, name: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(f"cannot parse {token!r} as a number", line=line_no, field=name)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite value {token!r}", line=line_no, field=name)
+    return value
+
+
+def reference_parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
+    """One kitti_ext line, each column parsed and checked in turn."""
+    tokens = line.split()
+    if len(tokens) not in (15, 16, 17, 18):
+        raise ParseError(
+            f"expected 15-18 columns, got {len(tokens)}", line=line_no, field=None
+        )
+    class_name = tokens[0]
+    truncation = _parse_float(tokens[1], line_no, "truncation")
+    if not (0.0 <= truncation <= 1.0):
+        raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
+    occlusion_value = _parse_float(tokens[2], line_no, "occlusion")
+    if not occlusion_value.is_integer():
+        raise ParseError(
+            f"occlusion {tokens[2]!r} is not an integer", line=line_no, field="occlusion"
+        )
+    try:
+        occlusion = Occlusion(int(occlusion_value))
+    except ValueError:
+        raise ValidationError(f"occlusion {tokens[2]!r} out of range 0-3 (line {line_no})")
+    _parse_float(tokens[3], line_no, "alpha")  # observation angle; not retained
+    rect = tuple(
+        _parse_float(tokens[4 + i], line_no, _KITTI_FIELDS[4 + i]) for i in range(4)
+    )
+    box2d = None if all(v == -1.0 for v in rect) else rect
+    h = _parse_float(tokens[8], line_no, "h")
+    w = _parse_float(tokens[9], line_no, "w")
+    l = _parse_float(tokens[10], line_no, "l")
+    x = _parse_float(tokens[11], line_no, "x")
+    y = _parse_float(tokens[12], line_no, "y")
+    z = _parse_float(tokens[13], line_no, "z")
+    yaw = _parse_float(tokens[14], line_no, "yaw")
+    pitch = roll = 0.0
+    score = None
+    rest = tokens[15:]
+    if len(rest) == 1:
+        score = _parse_float(rest[0], line_no, "score")
+    elif len(rest) >= 2:
+        pitch = _parse_float(rest[0], line_no, "pitch")
+        roll = _parse_float(rest[1], line_no, "roll")
+        if len(rest) == 3:
+            score = _parse_float(rest[2], line_no, "score")
+    try:
+        box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} (line {line_no})") from exc
+    kwargs = dict(
+        class_name=class_name,
+        truncation=truncation,
+        occlusion=occlusion,
+        box2d=box2d,
+        box3d=box3d,
+    )
+    if score is None:
+        return AnnotationRecord(**kwargs)
+    return DetectionRecord(score=score, **kwargs)

@@ -12,15 +12,19 @@ from roadkit.camera import (
     project_point,
     transform_box,
 )
+from roadkit.camera import _transform_boxes
 from roadkit.errors import BehindCameraError, FrameMismatchError, ValidationError
 from roadkit.geometry import (
     Box3D,
     EulerOrientation,
+    _first_invalid_rotation,
     box_corners,
+    rot_y,
     rotation_from_euler,
+    validate_rotation,
 )
 
-from helpers import random_box
+from helpers import random_box, reference_transform_box
 
 
 def make_intrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0):
@@ -194,6 +198,118 @@ class TestTransformBox:
         transform_box(rig, box, box_frame="lidar")  # matching frame passes
         with pytest.raises(FrameMismatchError):
             transform_box(rig, box, box_frame="camera")
+
+
+def box_bytes(box: Box3D) -> bytes:
+    """Every float of a box, by its bytes, so signed zeros count."""
+    return np.array([*box.center, *box.dims, *box.orientation.as_tuple()]).tobytes()
+
+
+def assert_batch_equals_reference(rigid, boxes):
+    moved = _transform_boxes(rigid, boxes)
+    assert len(moved) == len(boxes)
+    for got, box in zip(moved, boxes):
+        assert box_bytes(got) == box_bytes(reference_transform_box(rigid, box))
+        assert box_bytes(transform_box(rigid, box)) == box_bytes(got)
+
+
+class TestTransformBoxes:
+    """The batched frame change against the per-box reference, bit for bit."""
+
+    def test_random_boxes_and_transforms(self):
+        rng = np.random.default_rng(21)
+        for seed in range(20):
+            rigid = make_rigid(seed)
+            boxes = [random_box(rng) for _ in range(int(rng.integers(1, 40)))]
+            assert_batch_equals_reference(rigid, boxes)
+
+    def test_far_boxes_and_large_translations(self):
+        rng = np.random.default_rng(22)
+        rot = rotation_from_euler(EulerOrientation(*rng.uniform(-math.pi, math.pi, 3)))
+        rigid = RigidTransform(rot, rng.uniform(-1e4, 1e4, 3), "lidar", "camera")
+        boxes = [
+            Box3D(tuple(rng.uniform(-1e5, 1e5, 3)), (1.5, 1.8, 4.2), EulerOrientation(*rng.uniform(-9, 9, 3)))
+            for _ in range(200)
+        ]
+        assert_batch_equals_reference(rigid, boxes)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pitch_near_quarter_turn_folds_like_reference(self, sign):
+        # Within 1e-6 of +-pi/2 the decomposition folds roll into yaw; just
+        # outside it does not. A rotation about y keeps the pitch.
+        offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 5e-7, -5e-7, 2e-6, -2e-6, 1e-5)
+        boxes = [
+            Box3D((1.0, -2.0, 15.0), (1.5, 1.6, 3.9), EulerOrientation(yaw, sign * (math.pi / 2 + d), roll))
+            for d in offsets
+            for yaw in (0.0, 0.3, -2.9)
+            for roll in (0.0, 0.7, -1.1)
+        ]
+        for angle in (0.0, 0.4, -1.3, math.pi):
+            rigid = RigidTransform(rot_y(angle), np.array([0.5, -0.25, 3.0]), "lidar", "camera")
+            assert_batch_equals_reference(rigid, boxes)
+        moved = _transform_boxes(RigidTransform(np.eye(3), np.zeros(3), "lidar", "camera"), boxes)
+        rolls = [(b.orientation.roll, m.orientation.roll) for b, m in zip(boxes, moved)]
+        assert any(before != 0.0 and after == 0.0 for before, after in rolls)  # folded
+        assert any(before != 0.0 and after != 0.0 for before, after in rolls)  # not folded
+
+    def test_signed_zero_angles_and_centers(self):
+        zeros = (0.0, -0.0)
+        boxes = [
+            Box3D((cx, -0.0, 0.0), (1.0, 2.0, 3.0), EulerOrientation(yaw, pitch, roll))
+            for cx in zeros
+            for yaw in zeros
+            for pitch in zeros
+            for roll in zeros
+        ]
+        for rigid in (
+            RigidTransform(np.eye(3), np.array([0.0, -0.0, 0.0]), "lidar", "camera"),
+            RigidTransform(rot_y(math.pi), np.array([-0.0, 0.0, -0.0]), "lidar", "camera"),
+            make_rigid(23),
+        ):
+            assert_batch_equals_reference(rigid, boxes)
+
+    def test_empty(self):
+        assert _transform_boxes(make_rigid(24), []) == []
+
+    def test_batch_equals_one_box_calls(self):
+        rng = np.random.default_rng(25)
+        rigid = make_rigid(25)
+        boxes = [random_box(rng) for _ in range(300)]
+        batch = [box_bytes(b) for b in _transform_boxes(rigid, boxes)]
+        assert batch == [box_bytes(_transform_boxes(rigid, [b])[0]) for b in boxes]
+
+    def test_non_rotation_in_batch_raises_like_reference(self):
+        # R = I + e(J - I)/2 passes the 1e-6 checks (|R^T R - I| <= ~e, det
+        # ~ 1 + O(e^2)), but R^T R - I has eigenvalue 2e along (1, 1, 1). A
+        # box whose local z points that way makes the product fail them.
+        eps = 0.9e-6
+        rot = np.eye(3) + 0.5 * eps * (np.ones((3, 3)) - np.eye(3))
+        rigid = RigidTransform(rot, np.zeros(3), "lidar", "camera")
+        tilted = EulerOrientation(math.pi / 4, -math.asin(1.0 / math.sqrt(3.0)), 0.2)
+        good = Box3D((1.0, 2.0, 20.0), (1.5, 1.8, 4.2))
+        bad = Box3D((3.0, 1.0, 25.0), (1.5, 1.8, 4.2), tilted)
+        reference_transform_box(rigid, good)
+        with pytest.raises(ValidationError) as expected:
+            reference_transform_box(rigid, bad)
+        for boxes in ([bad], [good, bad, good], [good, good, bad]):
+            with pytest.raises(ValidationError) as got:
+                _transform_boxes(rigid, boxes)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value) == "rotation matrix is not orthonormal"
+
+    def test_first_invalid_rotation_matches_validate_rotation(self):
+        good = rotation_from_euler(EulerOrientation(0.3, -0.2, 1.1))
+        non_finite = good.copy()
+        non_finite[1, 2] = np.nan
+        skewed = good * 1.01
+        reflected = good @ np.diag([1.0, 1.0, -1.0])
+        for faulty in (non_finite, skewed, reflected, np.full((3, 3), np.inf)):
+            with pytest.raises(ValidationError) as expected:
+                validate_rotation(faulty)
+            stack = np.stack([good, good, faulty, skewed, good])
+            assert _first_invalid_rotation(stack) == (2, str(expected.value))
+        assert _first_invalid_rotation(np.stack([good, good])) == (2, None)
+        assert _first_invalid_rotation(np.zeros((0, 3, 3))) == (0, None)
 
 
 class TestProjectBox:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from roadkit.cli import main
+from roadkit.cli import _build_parser, main
 from roadkit.evaluation import EvalReport
 from roadkit.formats import load_manifest, parse_labels
 
@@ -368,6 +368,62 @@ class TestCompareCommand:
             ]
         )
         assert code == 2
+
+
+class TestEvalThresholds:
+    @pytest.mark.parametrize("iou", ["5", "nan", "0", "1", "-0.5", "inf"])
+    def test_bad_iou_exits_1(self, iou, tmp_path, capsys):
+        # An empty manifest never reaches the matcher, so only the up-front
+        # check can reject the threshold.
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({"name": "empty", "class_taxonomy": ["Car"], "frames": []}))
+        (tmp_path / "pred").mkdir()
+        out = tmp_path / "report.json"
+        code = main(["eval", "--gt", str(gt), "--pred", str(tmp_path / "pred"),
+                     "--iou", iou, "--out-json", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert "iou_threshold" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestParserReuse:
+    def test_main_calls_share_one_parser(self, tmp_path, capsys):
+        """Each call through the cached parser acts as a call with a fresh one."""
+        runs = [
+            ["synth", "--out", "{}/a", "--frames", "2", "--seed", "3", "--objects", "1,2"],
+            ["synth", "--out", "{}/b", "--frames", "2", "--seed", "3"],
+            ["synth", "--out", "{}/c", "--frames", "x"],
+            ["eval", "--gt", "{}/b/manifest.json", "--pred", "{}/b/detections",
+             "--out-json", "{}/report.json"],
+        ]
+
+        def run_all(root, fresh_parser):
+            root.mkdir()
+            results = []
+            for argv in runs:
+                if fresh_parser:
+                    _build_parser.cache_clear()
+                code = main([arg.format(root) for arg in argv])
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err.replace(str(root), "ROOT")))
+            files = {
+                str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+            }
+            return results, files
+
+        assert _build_parser() is _build_parser()
+        results, files = run_all(tmp_path / "shared", fresh_parser=False)
+        assert (results, files) == run_all(tmp_path / "fresh", fresh_parser=True)
+        assert [code for code, _, _ in results] == [0, 0, 1, 0]
+        errors = [line for line in results[2][2].splitlines() if "error:" in line]
+        assert errors == ["roadkit synth: error: argument --frames: invalid int value: 'x'"]
+        # --objects does not carry over into the next synth call.
+        manifest_a = json.loads(files["a/manifest.json"])
+        manifest_b = json.loads(files["b/manifest.json"])
+        assert all(len(f["annotations"]) <= 2 for f in manifest_a["frames"])
+        assert any(len(f["annotations"]) > 2 for f in manifest_b["frames"])
 
 
 class TestUsageErrors:

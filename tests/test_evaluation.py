@@ -341,6 +341,20 @@ class TestEvaluate:
         assert strict.cells["Car"]["hard"].tp == 0
 
 
+class TestEvalConfig:
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 5.0, -0.3, math.nan, math.inf, -math.inf])
+    def test_rejects_threshold_outside_open_unit_interval(self, threshold):
+        with pytest.raises(ValidationError, match="must be in"):
+            EvalConfig(iou_threshold=threshold)
+        with pytest.raises(ValidationError, match="'Bus'"):
+            EvalConfig(per_class_iou={"Car": 0.7, "Bus": threshold})
+
+    def test_accepts_thresholds_inside(self):
+        config = EvalConfig(iou_threshold=1e-9, per_class_iou={"Car": 0.999999, "Bus": 0.25})
+        assert config.threshold_for("Bus") == 0.25
+        assert config.threshold_for("Van") == 1e-9
+
+
 class TestEvalReportSerialization:
     def test_round_trip(self):
         manifest = single_class_manifest([make_annotation(frame_id="f0")])

@@ -29,9 +29,16 @@ from roadkit.formats import (
     remap_classes,
     write_labels,
 )
+from roadkit.formats import _parse_kitti_line
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
-from helpers import make_annotation, make_detection, reference_dump_manifest, reference_kitti_line
+from helpers import (
+    make_annotation,
+    make_detection,
+    reference_dump_manifest,
+    reference_kitti_line,
+    reference_parse_kitti_line,
+)
 
 
 BASE_LINE = "Car 0 0 0.1 100 200 300 400 1.5 1.8 4.2 2 1 20 0.5"
@@ -171,6 +178,124 @@ class TestKittiParsing:
     def test_unknown_format(self):
         with pytest.raises(ValidationError):
             parse_labels(BASE_LINE, fmt="csv")
+
+
+def record_bytes(record: AnnotationRecord) -> tuple:
+    """A record's type, strings and occlusion, and every float by its bytes."""
+    box = record.box3d
+    floats = [record.truncation, *box.center, *box.dims, *box.orientation.as_tuple()]
+    floats += list(record.box2d or ()) + [getattr(record, "score", 0.0)]
+    return (
+        type(record),
+        record.class_name,
+        type(record.occlusion),
+        int(record.occlusion),
+        record.box2d is None,
+        np.array(floats).tobytes(),
+    )
+
+
+def _number(values) -> st.SearchStrategy[str]:
+    """Tokens float() reads as one of `values`, written in several styles."""
+    return st.tuples(values, st.sampled_from(["{!r}", "{:.6g}", "{:e}", "{:.17g}"])).map(
+        lambda pair: pair[1].format(pair[0])
+    )
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_KITTI_TOKENS = st.tuples(
+    st.sampled_from(["Car", "Pedestrian", "Truck", "DontCare"]),
+    _number(st.floats(0.0, 1.0)),
+    st.sampled_from(["0", "1", "2.0", "3", "1e0", "-0"]),
+    _number(_finite),
+    st.one_of(st.just(["-1", "-1", "-1", "-1"]), st.lists(_number(_finite), min_size=4, max_size=4)),
+    st.lists(_number(st.one_of(_finite, st.floats(0.1, 10.0))), min_size=3, max_size=3),
+    st.lists(_number(_finite), min_size=4, max_size=4),
+    st.sampled_from([0, 1, 2, 3]),
+    st.lists(_number(st.floats(-1e3, 1e3)), min_size=3, max_size=3),
+)
+
+
+@st.composite
+def kitti_lines(draw) -> str:
+    """A 15-18-column kitti_ext line; its records may still fail range checks."""
+    name, trunc, occl, alpha, rect, dims, center_yaw, tail, extra = draw(_KITTI_TOKENS)
+    tokens = [name, trunc, occl, alpha, *rect, *dims, *center_yaw, *extra[:tail]]
+    if tail == 1:
+        tokens[-1] = draw(_number(st.floats(0.0, 1.0)))  # a score
+    if tail == 3:
+        tokens[-1] = draw(_number(st.floats(-0.5, 1.5)))
+    return draw(st.sampled_from([" ", "  ", "\t"])).join(tokens)
+
+
+def _outcome(parse, line: str, line_no: int):
+    try:
+        return record_bytes(parse(line, line_no))
+    except ParseError as exc:
+        return (ParseError, exc.line, exc.field)
+    except ValidationError as exc:
+        return (type(exc), str(exc))
+
+
+class TestKittiParserAgainstReference:
+    """The one-pass parser against the column-by-column reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(kitti_lines(), st.integers(1, 10_000))
+    def test_records_equal_reference(self, line, line_no):
+        assert _outcome(_parse_kitti_line, line, line_no) == _outcome(
+            reference_parse_kitti_line, line, line_no
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kitti_lines(),
+        st.integers(1, 17),
+        st.sampled_from(["nan", "-inf", "inf", "1e999", "abc", "1.2.3", "0x10", "1,5", "--1"]),
+    )
+    def test_one_bad_column_reports_the_same_field(self, line, column, token):
+        tokens = line.split()
+        column = min(column, len(tokens) - 1)
+        line = " ".join(tokens[:column] + [token] + tokens[column + 1:])
+        with pytest.raises(ParseError) as expected:
+            reference_parse_kitti_line(line, 7)
+        with pytest.raises(ParseError) as got:
+            _parse_kitti_line(line, 7)
+        assert (got.value.line, got.value.field, str(got.value)) == (
+            expected.value.line, expected.value.field, str(expected.value)
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            BASE_LINE + " 0.1 -0.2 0.75",
+            BASE_LINE + " -0.0 0.0 1",
+            "Car 1 3 -0.0 -1 -1 -1 -1 1e-300 1e300 5e-324 -0.0 0.0 1e308 3.141592653589793",
+            "Car 0 0 0 -1 -1 -1 -1.0 1 1 1 0 0 1 -3.141592653589793 0 0",
+            "Car 0 0 0 -1 -1 -1 -1 1 1 1 0 0 1 -3.1415926535897936 0 0",
+            "Car 0 0 0 1 2 3 4 1 1 1 0 0 1 1e300 -1e300 7",
+        ],
+    )
+    def test_edge_lines_equal_reference(self, line):
+        assert _outcome(_parse_kitti_line, line, 1) == _outcome(reference_parse_kitti_line, line, 1)
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("Car 2.5 0 0 1 2 3 4 1 1 1 0 0 1 0 0 abc", "roll"),  # truncation out of range too
+            ("Car 0 1.5 0 1 2 3 4 1 1 1 0 0 nan 0", "z"),  # fractional occlusion too
+            ("Car 0 9 0 1 2 3 4 1 1 1 0 0 1 x", "yaw"),  # occlusion out of range too
+        ],
+    )
+    def test_parse_errors_come_before_range_checks(self, line, field):
+        # The reference stops at the first range fault; the one-pass parser
+        # converts every column first, so a bad number anywhere wins.
+        with pytest.raises(ValidationError) as expected:
+            reference_parse_kitti_line(line, 3)
+        assert not isinstance(expected.value, ParseError) or expected.value.field == "occlusion"
+        with pytest.raises(ParseError) as got:
+            _parse_kitti_line(line, 3)
+        assert (got.value.line, got.value.field) == (3, field)
 
 
 class TestKittiWriting:

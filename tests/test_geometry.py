@@ -32,6 +32,7 @@ from helpers import (
     random_box,
     random_orientation,
     reference_intersection_volume,
+    reference_normalize_angle,
 )
 
 
@@ -51,6 +52,16 @@ class TestAngles:
             normalize_angle(math.nan)
         with pytest.raises(ValidationError):
             normalize_angle(math.inf)
+
+    def test_normalize_equals_remainder_path_by_bytes(self):
+        edges = [math.pi, -math.pi, 0.0, -0.0, 5e-324, -5e-324, math.tau, -math.tau, 3 * math.pi]
+        edges += [math.nextafter(a, d) for a in (math.pi, -math.pi) for d in (0.0, 4.0, -4.0)]
+        edges += list(np.random.default_rng(5).uniform(-10.0, 10.0, 2000))
+        inputs = edges + [np.float64(a) for a in edges] + [0, 1, -3, 3, 4, -4, 7, True]
+        for angle in inputs:
+            got, want = normalize_angle(angle), reference_normalize_angle(angle)
+            assert type(got) is type(want) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), angle
 
     def test_orientation_normalizes_on_construction(self):
         o = EulerOrientation(yaw=3 * math.pi, pitch=-math.pi, roll=2 * math.pi)
