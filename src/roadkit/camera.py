@@ -13,9 +13,9 @@ from .geometry import (
     Box3D,
     EulerOrientation,
     _box_arrays,
+    _corners,
     _euler_angles,
     _first_invalid_rotation,
-    box_corners,
     validate_rotation,
 )
 
@@ -66,6 +66,8 @@ class Intrinsics:
         k = np.asarray(k, dtype=float)
         if k.shape != (3, 3):
             raise ValidationError(f"K must be 3x3, got shape {k.shape}")
+        if not np.isfinite(k).all():
+            raise ValidationError("K holds non-finite entries")
         if np.max(np.abs(k[2] - np.array([0.0, 0.0, 1.0]))) > 1e-9 or abs(k[1, 0]) > 1e-9:
             raise ValidationError("K must be an upper-triangular pinhole matrix")
         width, height = image_size
@@ -244,19 +246,48 @@ def project_box(
     rectangle. `visible` is False when every corner is behind the camera or
     the rectangle falls fully outside the image.
     """
-    corners = box_corners(box)
-    cam = extrinsics.apply(corners) if extrinsics is not None else corners
-    front = cam[cam[:, 2] > BEHIND_CAMERA_EPS]
-    if len(front) == 0:
-        return ProjectedBox(rect=None, visible=False)
-    uv = (front @ intrinsics._matrix_t) / front[:, 2:3]
-    x1, y1 = float(uv[:, 0].min()), float(uv[:, 1].min())
-    x2, y2 = float(uv[:, 0].max()), float(uv[:, 1].max())
-    unclipped = (x1, y1, x2, y2)
-    cx1 = max(x1, 0.0)
-    cy1 = max(y1, 0.0)
-    cx2 = min(x2, float(intrinsics.image_width))
-    cy2 = min(y2, float(intrinsics.image_height))
-    if cx1 >= cx2 or cy1 >= cy2:
-        return ProjectedBox(rect=None, visible=False, unclipped=unclipped)
-    return ProjectedBox(rect=(cx1, cy1, cx2, cy2), visible=True, unclipped=unclipped)
+    return _project_boxes(intrinsics, [box], extrinsics)[0]
+
+
+def _project_boxes(
+    intrinsics: Intrinsics,
+    boxes: Sequence[Box3D],
+    extrinsics: RigidTransform | None = None,
+) -> list[ProjectedBox]:
+    """project_box of each box, with one stacked product per stage.
+
+    Every corner of every box is projected, behind the camera or not, and the
+    corners behind it are dropped afterwards. A row of a stacked matmul gets
+    the bits it gets in a product of the corners ahead alone, except when a
+    box has one corner ahead: matmul runs a lone row through its vector loop,
+    which may round differently, so that corner is projected as a lone row.
+    """
+    cam = _corners(*_box_arrays(boxes))
+    if extrinsics is not None:
+        cam = np.matmul(cam, extrinsics.rotation.T) + extrinsics.translation
+    front = cam[..., 2] > BEHIND_CAMERA_EPS
+    uv = np.matmul(cam, intrinsics._matrix_t)
+    lone = np.flatnonzero(np.count_nonzero(front, axis=1) == 1)
+    if lone.size:
+        corner = np.argmax(front[lone], axis=1)
+        uv[lone, corner] = np.matmul(cam[lone, corner][:, None], intrinsics._matrix_t)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        uv = uv[..., :2] / cam[..., 2:]
+    lo = np.where(front[..., None], uv, np.inf).min(axis=1).tolist()
+    hi = np.where(front[..., None], uv, -np.inf).max(axis=1).tolist()
+    width, height = float(intrinsics.image_width), float(intrinsics.image_height)
+    out = []
+    for seen, (x1, y1), (x2, y2) in zip(front.any(axis=1).tolist(), lo, hi):
+        if not seen:
+            out.append(ProjectedBox(rect=None, visible=False))
+            continue
+        unclipped = (x1, y1, x2, y2)
+        cx1 = max(x1, 0.0)
+        cy1 = max(y1, 0.0)
+        cx2 = min(x2, width)
+        cy2 = min(y2, height)
+        if cx1 >= cx2 or cy1 >= cy2:
+            out.append(ProjectedBox(rect=None, visible=False, unclipped=unclipped))
+        else:
+            out.append(ProjectedBox(rect=(cx1, cy1, cx2, cy2), visible=True, unclipped=unclipped))
+    return out

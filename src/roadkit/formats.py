@@ -246,6 +246,8 @@ def _annotation_to_dict(record: AnnotationRecord) -> dict:
 
 
 def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
+    # ValueError and OverflowError come from float(), int() and Occlusion() of
+    # a value of the wrong kind: a string, an Infinity or an unknown level.
     try:
         box = obj["box3d"]
         box3d = Box3D(
@@ -263,11 +265,11 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
             box3d=box3d,
             frame_id=obj.get("frame_id", frame_id),
         )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed annotation object: {exc}") from exc
-    if "score" in obj:
-        return DetectionRecord(score=float(obj["score"]), **kwargs)
-    return AnnotationRecord(**kwargs)
+        if "score" in obj:
+            return DetectionRecord(score=float(obj["score"]), **kwargs)
+        return AnnotationRecord(**kwargs)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
 
 
 def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
@@ -322,10 +324,10 @@ def load_manifest(text: str) -> DatasetManifest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
-    if not isinstance(doc, dict) or "frames" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise SchemaError("manifest document must be an object with a 'frames' list")
     frames = []
-    for fobj in doc["frames"]:
+    for index, fobj in enumerate(doc["frames"]):
         try:
             frame_id = fobj["frame_id"]
             annotations = tuple(
@@ -341,8 +343,8 @@ def load_manifest(text: str) -> DatasetManifest:
                     tags=tuple((k, v) for k, v in fobj.get("tags", {}).items()),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed frame object: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed frame object at index {index}: {exc}") from exc
     return DatasetManifest(
         name=doc.get("name", ""),
         class_taxonomy=tuple(doc.get("class_taxonomy", ())),
@@ -467,6 +469,13 @@ class CalibrationSet:
         raise CalibrationError(f"no transform from {source!r} to {target!r}")
 
 
+def _is_pixel_count(value) -> bool:
+    """A positive whole number, as JSON gives it: an int or an integral float."""
+    if type(value) is float:
+        return value > 0.0 and value.is_integer()
+    return type(value) is int and value > 0
+
+
 def parse_calibration(text: str) -> CalibrationSet:
     try:
         doc = json.loads(text)
@@ -474,12 +483,17 @@ def parse_calibration(text: str) -> CalibrationSet:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(doc, dict) or "K" not in doc:
         raise SchemaError("calibration document must be an object holding 'K'")
-    k = np.asarray(doc["K"], dtype=float)
+    try:
+        k = np.asarray(doc["K"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"K must hold 9 numbers: {exc}") from exc
     if k.size != 9:
         raise SchemaError(f"K must hold 9 numbers, got {k.size}")
-    image_size = tuple(doc.get("image_size", (0, 0)))
-    if len(image_size) != 2 or image_size[0] <= 0 or image_size[1] <= 0:
-        raise SchemaError(f"image_size must be two positive integers, got {image_size}")
+    if not np.isfinite(k).all():
+        raise SchemaError("K holds non-finite entries")
+    image_size = doc.get("image_size", (0, 0))
+    if not (isinstance(image_size, list) and len(image_size) == 2 and all(map(_is_pixel_count, image_size))):
+        raise SchemaError(f"image_size must be two positive integers, got {image_size!r}")
     intrinsics = Intrinsics.from_matrix(k.reshape(3, 3), image_size)
     transforms = []
     for tobj in doc.get("transforms", []):

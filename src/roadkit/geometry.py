@@ -185,10 +185,17 @@ def box_corners(box: Box3D) -> np.ndarray:
     meaning the positive half-extent. Corner 0 is (+w/2, +h/2, +l/2) in local
     coordinates.
     """
-    h, w, l = box.dims
-    local = _CORNER_SIGNS * (np.array([w, h, l]) * 0.5)
-    rot = rotation_from_euler(box.orientation)
-    return np.asarray(box.center) + local @ rot.T
+    return _corners(*_box_arrays([box]))[0]
+
+
+def _corners(centers: np.ndarray, rotations: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """box_corners of each box given as _box_arrays gives it, shape (N, 8, 3).
+
+    Each box's (8, 3) by (3, 3) product runs through the same matmul loop as
+    a one-box call, so every box gets the bits box_corners gives it.
+    """
+    local = _CORNER_SIGNS * halves[:, None]
+    return centers[:, None] + np.matmul(local, rotations.swapaxes(1, 2))
 
 
 # Plane k of a box pair (k = 0..11) faces along axis k // 2 of the pair's six

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, RigidTransform, project_box
+from .camera import Intrinsics, RigidTransform, _project_boxes
 from .errors import GenerationError, ValidationError
 from .formats import (
     AnnotationRecord,
@@ -23,7 +23,13 @@ from .formats import (
     FrameRecord,
     Occlusion,
 )
-from .geometry import Box3D, EulerOrientation, euler_from_rotation, normalize_angle
+from .geometry import (
+    Box3D,
+    EulerOrientation,
+    _euler_angles,
+    _first_invalid_rotation,
+    normalize_angle,
+)
 
 # Nominal (h, w, l) per class, meters.
 NOMINAL_DIMS = {
@@ -52,8 +58,8 @@ class SceneConfig:
     def __post_init__(self):
         if not (0.0 < self.horizontal_fov_deg < 180.0):
             raise ValidationError(f"horizontal fov must be in (0, 180), got {self.horizontal_fov_deg}")
-        if self.max_range <= 0.0:
-            raise ValidationError(f"max_range must be positive, got {self.max_range}")
+        if not (0.0 < self.max_range < math.inf):
+            raise ValidationError(f"max_range must be positive and finite, got {self.max_range}")
         # False positives are drawn at depths in [min_range, 0.9 * max_range].
         if not (0.0 < self.min_range <= 0.9 * self.max_range):
             raise ValidationError(
@@ -129,15 +135,20 @@ def _camera_pose(pitch_deg: float, camera_height: float) -> RigidTransform:
     )
 
 
-def _world_box_rotation(yaw_world: float) -> np.ndarray:
-    """Rotation of a ground object in world axes: length along heading, height up.
+def _world_box_rotations(yaws: list[float]) -> np.ndarray:
+    """Rotations of ground objects in world axes: length along heading, height up.
 
     The columns are right = down x heading, down = -z and heading = R_z(yaw) e_x,
     written out entry by entry as np.cross computes them, signed zeros included;
     "+ 0.0" maps -0.0 to 0.0 as the sums of the product R_z(yaw) e_x do.
     """
-    c, s = math.cos(yaw_world) + 0.0, math.sin(yaw_world) + 0.0
-    return np.array([[s, 0.0, c], [-c, 0.0, s], [0.0 * s - 0.0 * c, -1.0, 0.0]])
+    c = np.array([math.cos(yaw) for yaw in yaws]) + 0.0
+    s = np.array([math.sin(yaw) for yaw in yaws]) + 0.0
+    rotations = np.zeros((len(yaws), 3, 3))
+    rotations[:, 0, 0], rotations[:, 0, 2] = s, c
+    rotations[:, 1, 0], rotations[:, 1, 2] = -c, s
+    rotations[:, 2, 0], rotations[:, 2, 1] = 0.0 * s - 0.0 * c, -1.0
+    return rotations
 
 
 def _class_sampler(mix: tuple[tuple[str, float], ...]) -> tuple[list[str], np.ndarray]:
@@ -165,6 +176,13 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
 
     Deterministic for a fixed (config, seed). Every emitted box has at least
     one projected corner inside the image.
+
+    Objects are placed in blocks of attempts. Each attempt takes 7 doubles
+    from the generator: the class, 3 dimension scales, distance, bearing and
+    yaw. With r objects still unplaced the next r attempts are made whatever
+    they show, so a block of r attempts drawn in one call leaves the generator
+    where r single attempts would. Placement stops an object after 200
+    consecutive misses.
     """
     rng = np.random.default_rng(seed)
     pitch_deg = float(rng.uniform(*config.pitch_range_deg))
@@ -173,30 +191,40 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
     count = int(rng.integers(config.objects_per_frame[0], config.objects_per_frame[1] + 1))
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
     names, cdf = _class_sampler(config.class_mix)
+    nominal = np.array([NOMINAL_DIMS[name] for name in names])
+    # Bounds of an attempt's 7 draws; uniform(0, 1) gives the bits of rng.random().
+    low = np.array([0.0, 0.9, 0.9, 0.9, config.min_range, -half_fov * 0.85, -math.pi])
+    high = np.array([1.0, 1.1, 1.1, 1.1, config.max_range * 0.95, half_fov * 0.85, math.pi])
     annotations = []
     fid = frame_id if frame_id is not None else f"synth-{seed:016x}"
-    for _ in range(count):
-        placed = False
-        for _attempt in range(200):
-            class_name = _pick_class(rng, names, cdf)
-            h0, w0, l0 = NOMINAL_DIMS[class_name]
-            scale = rng.uniform(0.9, 1.1, size=3)
-            dims = (h0 * scale[0], w0 * scale[1], l0 * scale[2])
-            distance = float(rng.uniform(config.min_range, config.max_range * 0.95))
-            bearing = float(rng.uniform(-half_fov * 0.85, half_fov * 0.85))
-            center_world = np.array(
-                [distance * math.cos(bearing), distance * math.sin(bearing), dims[0] / 2.0]
-            )
-            yaw_world = float(rng.uniform(-math.pi, math.pi))
-            rot_cam = extrinsics.rotation @ _world_box_rotation(yaw_world)
-            box = Box3D(
-                center=tuple(extrinsics.apply(center_world)),
-                dims=dims,
-                orientation=euler_from_rotation(rot_cam),
-            )
-            projected = project_box(intrinsics, box)
+    misses = 0
+    while len(annotations) < count:
+        draws = rng.uniform(low, high, (count - len(annotations), 7))
+        kinds = cdf.searchsorted(draws[:, 0], side="right")
+        dims = nominal[kinds] * draws[:, 1:4]
+        distance, bearing = draws[:, 4], draws[:, 5].tolist()
+        centers = np.column_stack([
+            distance * np.array([math.cos(b) for b in bearing]),
+            distance * np.array([math.sin(b) for b in bearing]),
+            dims[:, 0] / 2.0,
+        ])
+        centers = np.matmul(centers[:, None, :], extrinsics.rotation.T)[:, 0] + extrinsics.translation
+        rotations = np.matmul(extrinsics.rotation, _world_box_rotations(draws[:, 6].tolist()))
+        stop, fault = _first_invalid_rotation(rotations)
+        boxes = [
+            Box3D(center=center, dims=size, orientation=EulerOrientation(*_euler_angles(rot)))
+            for center, size, rot in zip(centers[:stop].tolist(), dims.tolist(), rotations[:stop].tolist())
+        ]
+        for kind, box, projected in zip(kinds.tolist(), boxes, _project_boxes(intrinsics, boxes)):
             if not projected.visible:
+                misses += 1
+                if misses == 200:
+                    raise GenerationError(
+                        f"could not place object {len(annotations) + 1} of {count}; "
+                        f"config frustum too small for the requested density"
+                    )
                 continue
+            misses = 0
             x1, y1, x2, y2 = projected.unclipped
             raw = (x2 - x1) * (y2 - y1)
             truncation = 0.0
@@ -206,7 +234,7 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
                 truncation = min(1.0, max(0.0, 1.0 - clipped_area / raw))
             annotations.append(
                 AnnotationRecord(
-                    class_name=class_name,
+                    class_name=names[kind],
                     truncation=truncation,
                     occlusion=Occlusion.FULLY_VISIBLE,
                     box2d=projected.rect,
@@ -214,13 +242,8 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
                     frame_id=fid,
                 )
             )
-            placed = True
-            break
-        if not placed:
-            raise GenerationError(
-                f"could not place object {len(annotations) + 1} of {count}; "
-                f"config frustum too small for the requested density"
-            )
+        if fault is not None:
+            raise ValidationError(fault)
     frame = FrameRecord(
         frame_id=fid,
         image_path=f"{fid}.png",

@@ -7,6 +7,7 @@ two independent routes to the same answer.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -14,15 +15,24 @@ from typing import Sequence
 
 import numpy as np
 
-from roadkit.camera import RigidTransform
-from roadkit.errors import FrameMismatchError, ParseError, ValidationError
+from roadkit import synth
+from roadkit.camera import BEHIND_CAMERA_EPS, Intrinsics, ProjectedBox, RigidTransform
+from roadkit.errors import FrameMismatchError, GenerationError, ParseError, ValidationError
 from roadkit.evaluation import MatchResult
-from roadkit.formats import AnnotationRecord, DatasetManifest, DetectionRecord, Occlusion
+from roadkit.formats import (
+    AnnotationRecord,
+    CalibrationSet,
+    DatasetManifest,
+    DetectionRecord,
+    FrameRecord,
+    Occlusion,
+)
 from roadkit.geometry import (
     TAU,
     Box3D,
     EulerOrientation,
     box_corners,
+    euler_from_rotation,
     iou3d,
     rotation_from_euler,
     validate_rotation,
@@ -722,3 +732,116 @@ def reference_parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
     if score is None:
         return AnnotationRecord(**kwargs)
     return DetectionRecord(score=score, **kwargs)
+
+
+_CORNER_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+
+
+def reference_box_corners(box: Box3D) -> np.ndarray:
+    """box_corners of one box: signed half extents through its rebuilt rotation."""
+    h, w, l = box.dims
+    local = _CORNER_SIGNS * (np.array([w, h, l]) * 0.5)
+    rot = rotation_from_euler(box.orientation)
+    return np.asarray(box.center) + local @ rot.T
+
+
+def reference_project_box(
+    intrinsics: Intrinsics, box: Box3D, extrinsics: RigidTransform | None = None
+) -> ProjectedBox:
+    """project_box one box at a time, projecting only the corners ahead of the camera."""
+    corners = reference_box_corners(box)
+    cam = extrinsics.apply(corners) if extrinsics is not None else corners
+    front = cam[cam[:, 2] > BEHIND_CAMERA_EPS]
+    if len(front) == 0:
+        return ProjectedBox(rect=None, visible=False)
+    uv = (front @ intrinsics.matrix.T) / front[:, 2:3]
+    x1, y1 = float(uv[:, 0].min()), float(uv[:, 1].min())
+    x2, y2 = float(uv[:, 0].max()), float(uv[:, 1].max())
+    unclipped = (x1, y1, x2, y2)
+    cx1 = max(x1, 0.0)
+    cy1 = max(y1, 0.0)
+    cx2 = min(x2, float(intrinsics.image_width))
+    cy2 = min(y2, float(intrinsics.image_height))
+    if cx1 >= cx2 or cy1 >= cy2:
+        return ProjectedBox(rect=None, visible=False, unclipped=unclipped)
+    return ProjectedBox(rect=(cx1, cy1, cx2, cy2), visible=True, unclipped=unclipped)
+
+
+def _reference_world_box_rotation(yaw_world: float) -> np.ndarray:
+    """Columns right = down x heading, down = -z, heading = R_z(yaw) e_x."""
+    c, s = math.cos(yaw_world) + 0.0, math.sin(yaw_world) + 0.0
+    return np.array([[s, 0.0, c], [-c, 0.0, s], [0.0 * s - 0.0 * c, -1.0, 0.0]])
+
+
+def reference_generate_scene(
+    config: synth.SceneConfig, seed: int, frame_id: str | None = None
+) -> synth.SceneSample:
+    """generate_scene one placement attempt at a time, each with its own draws."""
+    rng = np.random.default_rng(seed)
+    pitch_deg = float(rng.uniform(*config.pitch_range_deg))
+    extrinsics = synth._camera_pose(pitch_deg, config.camera_height)
+    intrinsics = config.intrinsics()
+    count = int(rng.integers(config.objects_per_frame[0], config.objects_per_frame[1] + 1))
+    half_fov = math.radians(config.horizontal_fov_deg) / 2.0
+    names, cdf = synth._class_sampler(config.class_mix)
+    annotations = []
+    fid = frame_id if frame_id is not None else f"synth-{seed:016x}"
+    for _ in range(count):
+        placed = False
+        for _attempt in range(200):
+            class_name = synth._pick_class(rng, names, cdf)
+            h0, w0, l0 = synth.NOMINAL_DIMS[class_name]
+            scale = rng.uniform(0.9, 1.1, size=3)
+            dims = (h0 * scale[0], w0 * scale[1], l0 * scale[2])
+            distance = float(rng.uniform(config.min_range, config.max_range * 0.95))
+            bearing = float(rng.uniform(-half_fov * 0.85, half_fov * 0.85))
+            center_world = np.array(
+                [distance * math.cos(bearing), distance * math.sin(bearing), dims[0] / 2.0]
+            )
+            yaw_world = float(rng.uniform(-math.pi, math.pi))
+            rot_cam = extrinsics.rotation @ _reference_world_box_rotation(yaw_world)
+            box = Box3D(
+                center=tuple(extrinsics.apply(center_world)),
+                dims=dims,
+                orientation=euler_from_rotation(rot_cam),
+            )
+            projected = reference_project_box(intrinsics, box)
+            if not projected.visible:
+                continue
+            x1, y1, x2, y2 = projected.unclipped
+            raw = (x2 - x1) * (y2 - y1)
+            truncation = 0.0
+            if raw > 0.0:
+                rect = projected.rect
+                clipped_area = (rect[2] - rect[0]) * (rect[3] - rect[1])
+                truncation = min(1.0, max(0.0, 1.0 - clipped_area / raw))
+            annotations.append(
+                AnnotationRecord(
+                    class_name=class_name,
+                    truncation=truncation,
+                    occlusion=Occlusion.FULLY_VISIBLE,
+                    box2d=projected.rect,
+                    box3d=box,
+                    frame_id=fid,
+                )
+            )
+            placed = True
+            break
+        if not placed:
+            raise GenerationError(
+                f"could not place object {len(annotations) + 1} of {count}; "
+                f"config frustum too small for the requested density"
+            )
+    frame = FrameRecord(
+        frame_id=fid,
+        image_path=f"{fid}.png",
+        image_size=config.image_size,
+        calibration_ref=f"calib-{fid}",
+        annotations=tuple(annotations),
+        tags=(
+            ("time", synth.TIME_TAGS[int(rng.integers(0, len(synth.TIME_TAGS)))]),
+            ("weather", synth.WEATHER_TAGS[int(rng.integers(0, len(synth.WEATHER_TAGS)))]),
+        ),
+    )
+    calibration = CalibrationSet(intrinsics=intrinsics, transforms=(extrinsics,))
+    return synth.SceneSample(frame=frame, calibration=calibration, pitch_deg=pitch_deg)

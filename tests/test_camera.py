@@ -12,7 +12,7 @@ from roadkit.camera import (
     project_point,
     transform_box,
 )
-from roadkit.camera import _transform_boxes
+from roadkit.camera import BEHIND_CAMERA_EPS, _project_boxes, _transform_boxes
 from roadkit.errors import BehindCameraError, FrameMismatchError, ValidationError
 from roadkit.geometry import (
     Box3D,
@@ -24,7 +24,12 @@ from roadkit.geometry import (
     validate_rotation,
 )
 
-from helpers import random_box, reference_transform_box
+from helpers import (
+    random_box,
+    reference_box_corners,
+    reference_project_box,
+    reference_transform_box,
+)
 
 
 def make_intrinsics(fx=1000.0, fy=1000.0, cx=960.0, cy=540.0):
@@ -68,6 +73,12 @@ class TestIntrinsics:
         bad = np.array([[1000, 0, 960], [5, 1000, 540], [0, 0, 1]], dtype=float)
         with pytest.raises(ValidationError):
             Intrinsics.from_matrix(bad, (1920, 1080))
+        # NaN compares false, so it must not slip past the pinhole check.
+        for row, col in ((2, 0), (2, 2), (1, 0), (0, 1)):
+            k = make_intrinsics().matrix
+            k[row, col] = math.nan
+            with pytest.raises(ValidationError, match="non-finite"):
+                Intrinsics.from_matrix(k, (1920, 1080))
         with pytest.raises(ValidationError):
             Intrinsics.from_matrix(np.eye(4), (1920, 1080))
 
@@ -355,3 +366,68 @@ class TestProjectBox:
         box = Box3D(center=(0, 0, 50), dims=(2.0, 2.0, 0.001))
         projected = project_box(intr, box)
         assert projected.rect[3] - projected.rect[1] == pytest.approx(40.0, abs=0.5)
+
+
+class TestProjectBoxes:
+    """project_box and its batch form against the one-box reference, by bytes."""
+
+    # A 100 x 100 image whose edges the boxes of test_image_edges reach exactly.
+    SQUARE = Intrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0, image_width=100, image_height=100)
+    SKEWED = Intrinsics(fx=812.5, fy=901.25, cx=311.0, cy=203.5, image_width=640, image_height=480, skew=3.5)
+
+    @staticmethod
+    def _check(intrinsics, boxes, extrinsics=None):
+        expected = [repr(reference_project_box(intrinsics, box, extrinsics)) for box in boxes]
+        assert [repr(project_box(intrinsics, box, extrinsics)) for box in boxes] == expected
+        assert [repr(p) for p in _project_boxes(intrinsics, boxes, extrinsics)] == expected
+
+    @pytest.mark.parametrize("intrinsics", [make_intrinsics(), SKEWED])
+    def test_boxes_across_the_camera_plane(self, intrinsics):
+        # Boxes straddling z = 0 leave every count of corners, 0 to 8, ahead.
+        rng = np.random.default_rng(23)
+        boxes = [
+            Box3D(center=(*rng.uniform(-12.0, 12.0, 2), rng.uniform(-3.0, 3.0)),
+                  dims=tuple(rng.uniform(0.3, 6.0, 3)),
+                  orientation=EulerOrientation(*rng.uniform(-math.pi, math.pi, 3)))
+            for _ in range(3000)
+        ]
+        ahead = {int((reference_box_corners(b)[:, 2] > BEHIND_CAMERA_EPS).sum()) for b in boxes}
+        assert ahead == set(range(9))
+        self._check(intrinsics, boxes)
+        tilt = RigidTransform(
+            rotation=rot_y(0.3), translation=(0.5, -0.2, 0.1), source_frame="lidar", target_frame="camera"
+        )
+        self._check(intrinsics, boxes, tilt)
+
+    def test_boxes_ahead_behind_and_outside(self):
+        rng = np.random.default_rng(29)
+        boxes = [random_box(rng, center_spread=40.0, dim_range=(0.5, 12.0)) for _ in range(1000)]
+        boxes += [
+            Box3D(center=(0, 0, -30), dims=(2, 2, 4)),
+            Box3D(center=(500, 0, 10), dims=(2, 2, 4)),
+            Box3D(center=(0, -900, 10), dims=(2, 2, 4)),
+            Box3D(center=(0, 0, 2e-6), dims=(1e-6, 1e-6, 1e-6)),
+        ]
+        projected = [reference_project_box(make_intrinsics(), box) for box in boxes]
+        assert {(p.visible, p.unclipped is None) for p in projected} == {
+            (True, False), (False, False), (False, True),
+        }
+        self._check(make_intrinsics(), boxes)
+        self._check(self.SKEWED, boxes, make_rigid(seed=4, source="lidar"))
+
+    def test_image_edges(self):
+        # The nearest face sits at depth 10, so the extreme corners land on
+        # whole pixels: u = 100 x / z + 50 and v = 100 y / z + 50 exactly.
+        touching_left = Box3D(center=(-4.0, 0.0, 11.0), dims=(2.0, 2.0, 2.0))
+        touching_bottom = Box3D(center=(0.0, 4.0, 11.0), dims=(2.0, 2.0, 2.0))
+        beyond_left = Box3D(center=(-7.0, 0.0, 11.0), dims=(2.0, 2.0, 2.0))
+        left = project_box(self.SQUARE, touching_left)
+        assert left.visible and left.unclipped[0] == 0.0 == left.rect[0]
+        bottom = project_box(self.SQUARE, touching_bottom)
+        assert bottom.visible and bottom.unclipped[3] == 100.0 == bottom.rect[3]
+        beyond = project_box(self.SQUARE, beyond_left)
+        assert not beyond.visible and beyond.rect is None and beyond.unclipped[2] == 0.0
+        self._check(self.SQUARE, [touching_left, touching_bottom, beyond_left])
+
+    def test_empty(self):
+        assert _project_boxes(make_intrinsics(), []) == []

@@ -47,7 +47,7 @@ class TestSynthCommand:
             for path in sorted((corpus / sub).iterdir()):
                 assert path.read_text() == (again / sub / path.name).read_text()
 
-    @pytest.mark.parametrize("max_range", ["5", "8.8", "0", "-3"])
+    @pytest.mark.parametrize("max_range", ["5", "8.8", "0", "-3", "inf", "nan"])
     def test_bad_max_range_exits_1(self, max_range, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--max-range", max_range])
         assert code == 1
@@ -125,6 +125,17 @@ class TestStatsCommand:
         assert doc["frames"] == 4
         assert doc["boxes"] == sum(doc["per_class"].values())
         assert doc["resolutions"] == [[1920, 1080]]
+
+    @pytest.mark.parametrize("field, value", [("occlusion", 7), ("truncation", "abc")])
+    def test_bad_annotation_value_exits_1(self, corpus, tmp_path, capsys, field, value):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        doc["frames"][2]["annotations"][0][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", "--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert repr(doc["frames"][2]["frame_id"]) in err
 
 
 class TestSplitCommand:

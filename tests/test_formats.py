@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -410,6 +411,42 @@ class TestManifestJson:
         with pytest.raises(SchemaError):
             load_manifest('{"frames": [{"image_path": "a.png"}]}')
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("occlusion", 7),
+            ("occlusion", "x"),
+            ("occlusion", math.inf),
+            ("truncation", "abc"),
+            ("score", "abc"),
+            ("box2d", ["a", 1, 2, 3]),
+            ("center", ["a", 0, 1]),
+            ("dims", [1, "b", 3]),
+        ],
+    )
+    def test_bad_annotation_value_names_frame(self, field, value):
+        annotation = {"class_name": "Car", "box3d": {"center": [0, 0, 10], "dims": [1, 2, 3]}}
+        if field in ("center", "dims"):
+            annotation["box3d"][field] = value
+        else:
+            annotation[field] = value
+        doc = {"frames": [{"frame_id": "f0"}, {"frame_id": "f7", "annotations": [annotation]}]}
+        with pytest.raises(SchemaError, match="malformed annotation object in frame 'f7'"):
+            load_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "frame",
+        [{"frame_id": "f", "image_size": ["a", 1]}, {"frame_id": "f", "tags": [1]}, "f", {"annotations": []}],
+    )
+    def test_bad_frame_value_names_index(self, frame):
+        with pytest.raises(SchemaError, match="malformed frame object at index 1"):
+            load_manifest(json.dumps({"frames": [{"frame_id": "e"}, frame]}))
+
+    @pytest.mark.parametrize("frames", [5, "abc", {"frame_id": "f"}])
+    def test_frames_must_be_a_list(self, frames):
+        with pytest.raises(SchemaError):
+            load_manifest(json.dumps({"frames": frames}))
+
 
 # Strings that JSON must escape or that only ensure_ascii keeps in ASCII.
 json_text = st.text(
@@ -576,6 +613,42 @@ class TestCalibration:
         doc = dump_calibration(self.make_calibration()).replace("1920", "0", 1)
         with pytest.raises(SchemaError):
             parse_calibration(doc)
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            [1000, 0, 960, 0, 1000, 540, math.nan, 0, 1],
+            [1000, 0, 960, 0, 1000, 540, 0, 0, math.nan],
+            [1000, 0, 960, math.nan, 1000, 540, 0, 0, 1],
+            [1000, math.inf, 960, 0, 1000, 540, 0, 0, 1],
+            ["a"] * 9,
+            [[1000, 0, 960], [0, 1000], [0, 0, 1]],
+            {"fx": 1000},
+        ],
+    )
+    def test_bad_k_values(self, k):
+        obj = json.loads(dump_calibration(self.make_calibration()))
+        obj["K"] = k
+        with pytest.raises(SchemaError):
+            parse_calibration(json.dumps(obj))
+
+    @pytest.mark.parametrize(
+        "size", ["1920x1080", "10", 5, [1920.5, 1080], [1920, True], [1920, -1080.0], [1920, math.inf], [1920]]
+    )
+    def test_bad_image_size_values(self, size):
+        obj = json.loads(dump_calibration(self.make_calibration()))
+        obj["image_size"] = size
+        with pytest.raises(SchemaError, match="image_size must be two positive integers"):
+            parse_calibration(json.dumps(obj))
+
+    def test_integral_float_image_size_and_bits_kept(self):
+        calib = self.make_calibration()
+        obj = json.loads(dump_calibration(calib))
+        assert parse_calibration(json.dumps(obj)).intrinsics == calib.intrinsics
+        obj["image_size"] = [1920.0, 1080.0]
+        again = parse_calibration(json.dumps(obj))
+        assert again.intrinsics == calib.intrinsics
+        assert dump_calibration(again) == dump_calibration(calib)
 
     def test_non_rotation_transform(self):
         calib = self.make_calibration()

@@ -22,7 +22,7 @@ from roadkit.geometry import (
     validate_rotation,
 )
 import roadkit.geometry
-from roadkit.geometry import _BATCH, _box_arrays, _intersection_volumes, _iou_sweep, _precedes
+from roadkit.geometry import _BATCH, _box_arrays, _corners, _intersection_volumes, _iou_sweep, _precedes
 
 from helpers import (
     ConvexPolytope,
@@ -31,6 +31,7 @@ from helpers import (
     padded_intersection_volumes,
     random_box,
     random_orientation,
+    reference_box_corners,
     reference_intersection_volume,
     reference_normalize_angle,
 )
@@ -170,6 +171,22 @@ class TestBox3D:
         corners = box_corners(box)
         # Length axis (local z) now points along world +x.
         np.testing.assert_allclose(corners[0], [1.5, 1.0, -0.5], atol=1e-12)
+
+
+    def test_corners_equal_reference_by_bytes(self):
+        rng = np.random.default_rng(17)
+        boxes = [random_box(rng, center_spread=50.0, dim_range=(0.01, 20.0)) for _ in range(500)]
+        boxes += [
+            Box3D(center=(-0.0, 0.0, -0.0), dims=(1.0, 2.0, 3.0)),
+            Box3D(center=(1e8, -1e8, 3.0), dims=(1e-3, 5e3, 2.5),
+                  orientation=EulerOrientation(math.pi, -math.pi / 2, math.pi / 2)),
+        ]
+        batch = _corners(*_box_arrays(boxes))
+        for box, corners in zip(boxes, batch):
+            expected = reference_box_corners(box)
+            assert box_corners(box).tobytes() == expected.tobytes()
+            assert corners.tobytes() == expected.tobytes()
+        assert _corners(*_box_arrays([])).shape == (0, 8, 3)
 
 
 class TestIntersectionKnownValues:

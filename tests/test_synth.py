@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from roadkit.camera import project_box
+import helpers
+from roadkit import synth
+from roadkit.camera import ProjectedBox, project_box
 from roadkit.errors import GenerationError, ValidationError
 from roadkit.evaluation import evaluate
-from roadkit.formats import Occlusion
+from roadkit.formats import DatasetManifest, Occlusion, dump_calibration, dump_manifest
 from roadkit.geometry import box_corners, rot_z, rotation_from_euler
 from roadkit.synth import (
     NOMINAL_DIMS,
@@ -16,11 +19,13 @@ from roadkit.synth import (
     SceneConfig,
     _class_sampler,
     _pick_class,
-    _world_box_rotation,
+    _world_box_rotations,
     corrupt_detections,
     generate_corpus,
     generate_scene,
 )
+
+from helpers import reference_generate_scene
 
 
 SMALL = SceneConfig(objects_per_frame=(3, 8))
@@ -45,6 +50,9 @@ class TestSceneConfig:
             SceneConfig(horizontal_fov_deg=0.0)
         with pytest.raises(ValidationError):
             SceneConfig(max_range=-1.0)
+        for max_range in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                SceneConfig(max_range=max_range)
         with pytest.raises(ValidationError):
             SceneConfig(pitch_range_deg=(10.0, 20.0))
         with pytest.raises(ValidationError):
@@ -106,10 +114,9 @@ class TestSceneHelpers:
         yaws = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, -1e-300]
         yaws += list(np.random.default_rng(5).uniform(-math.pi, math.pi, 500))
         down = np.array([0.0, 0.0, -1.0])
-        for yaw in yaws:
+        for yaw, got in zip(yaws, _world_box_rotations(yaws)):
             heading = rot_z(yaw) @ np.array([1.0, 0.0, 0.0])
             expected = np.column_stack([np.cross(down, heading), down, heading])
-            got = _world_box_rotation(yaw)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -178,6 +185,100 @@ class TestGenerateScene:
         )
         with pytest.raises(GenerationError):
             generate_scene(config, seed=1)
+
+
+def _outcome(generate, config, seed):
+    """Every byte a scene writes, tags and pitch included, or its error."""
+    try:
+        sample = generate(config, seed)
+    except GenerationError as exc:
+        return f"GenerationError: {exc}"
+    manifest = DatasetManifest(name="scene", class_taxonomy=tuple(sorted(NOMINAL_DIMS)), frames=(sample.frame,))
+    return dump_manifest(manifest) + dump_calibration(sample.calibration) + repr(sample.pitch_deg)
+
+
+# A letterbox image that misses much of the range band: some frames fill up,
+# others stop at their 200th consecutive miss on a first or a later object.
+SPARSE = SceneConfig(image_size=(1920, 160), min_range=20.0, objects_per_frame=(2, 6))
+
+
+class TestBlockPlacement:
+    """generate_scene against the one-attempt-at-a-time reference, by bytes."""
+
+    @pytest.mark.parametrize(
+        "config, seeds",
+        [
+            (SceneConfig(), range(40)),
+            (SceneConfig(horizontal_fov_deg=20.0), range(8)),
+            (SceneConfig(image_size=(64, 48)), range(30)),
+            (SceneConfig(objects_per_frame=(40, 80)), range(8)),
+            (SceneConfig(objects_per_frame=(0, 0)), range(5)),
+        ],
+        ids=["default", "narrow-fov", "tiny-image", "dense", "empty"],
+    )
+    def test_scenes_match_reference(self, config, seeds):
+        for seed in seeds:
+            assert _outcome(generate_scene, config, seed) == _outcome(reference_generate_scene, config, seed)
+
+    def test_generation_errors_match_reference(self):
+        outcomes = [_outcome(generate_scene, SPARSE, seed) for seed in range(14)]
+        assert outcomes == [_outcome(reference_generate_scene, SPARSE, seed) for seed in range(14)]
+        errors = [text for text in outcomes if text.startswith("GenerationError")]
+        assert "GenerationError: could not place object 1 of 5; config frustum too small " \
+               "for the requested density" in errors
+        assert "GenerationError: could not place object 6 of 6; config frustum too small " \
+               "for the requested density" in errors
+        assert len(errors) < len(outcomes)
+
+    @pytest.mark.parametrize(
+        "hidden, error",
+        [
+            (range(1, 200), None),
+            (range(1, 201), "object 1 of 2"),
+            ({*range(1, 200), *range(201, 401)}, "object 2 of 2"),
+        ],
+        ids=["placed-on-200th", "200-misses", "second-object-200-misses"],
+    )
+    def test_two_hundred_attempts_per_object(self, monkeypatch, hidden, error):
+        # Attempts numbered in `hidden` project outside the image: an object
+        # still placed on its 200th attempt is kept, a 200th miss in a row fails.
+        def hide_listed():
+            attempts = itertools.count(1)
+            return lambda projected: ProjectedBox(None, False) if next(attempts) in hidden else projected
+
+        hide_new, hide_ref = hide_listed(), hide_listed()
+        project_boxes, reference_project_box = synth._project_boxes, helpers.reference_project_box
+        monkeypatch.setattr(synth, "_project_boxes", lambda i, boxes: list(map(hide_new, project_boxes(i, boxes))))
+        monkeypatch.setattr(helpers, "reference_project_box", lambda i, box: hide_ref(reference_project_box(i, box)))
+        config = SceneConfig(objects_per_frame=(2, 2))
+        outcome = _outcome(generate_scene, config, 5)
+        assert outcome == _outcome(reference_generate_scene, config, 5)
+        if error is None:
+            assert outcome.count('"class_name"') == 2
+        else:
+            assert outcome == f"GenerationError: could not place {error}; " \
+                              "config frustum too small for the requested density"
+
+    @pytest.mark.parametrize(
+        "distort, message",
+        [
+            (lambda r: r * 1.01, "not orthonormal"),
+            (lambda r: r * np.array([[1.0], [1.0], [-1.0]]), "determinant"),
+        ],
+        ids=["scaled", "reflected"],
+    )
+    def test_rotation_check_kept(self, monkeypatch, distort, message):
+        camera_pose = synth._camera_pose
+
+        def bad_pose(pitch_deg, camera_height):
+            extrinsics = camera_pose(pitch_deg, camera_height)
+            object.__setattr__(extrinsics, "rotation", distort(extrinsics.rotation))
+            return extrinsics
+
+        monkeypatch.setattr(synth, "_camera_pose", bad_pose)
+        for generate in (generate_scene, reference_generate_scene):
+            with pytest.raises(ValidationError, match=message):
+                generate(SMALL, seed=3)
 
 
 class TestGenerateCorpus:
