@@ -8,7 +8,6 @@ for identical inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -27,6 +26,7 @@ from .evaluation import (
 )
 from .formats import (
     DetectionRecord,
+    _with_fields,
     dataset_stats,
     dump_calibration,
     dump_manifest,
@@ -130,7 +130,7 @@ def _cmd_transform(args) -> int:
     for label_file in sorted(Path(args.labels).glob("*.txt")):
         records = parse_labels(label_file.read_text(), "kitti_ext")
         boxes = _transform_boxes(rigid, [record.box3d for record in records])
-        moved = [dataclasses.replace(record, box3d=box) for record, box in zip(records, boxes)]
+        moved = [_with_fields(record, box3d=box) for record, box in zip(records, boxes)]
         (out_dir / label_file.name).write_text(write_labels(moved, "kitti_ext"))
     return 0
 
@@ -150,7 +150,7 @@ def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
         for r in records:
             if not isinstance(r, DetectionRecord):
                 raise ValidationError(f"{path.name}: detection lines must carry a score column")
-            out.append(dataclasses.replace(r, frame_id=path.stem))
+            out.append(_with_fields(r, frame_id=path.stem))
         detections[path.stem] = out
     # Frame-id order; file-name order puts "a-1.txt" before "a.txt".
     return dict(sorted(detections.items()))

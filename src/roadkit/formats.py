@@ -82,6 +82,15 @@ class DetectionRecord(AnnotationRecord):
             raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
 
+def _with_fields(record: AnnotationRecord, **changes) -> AnnotationRecord:
+    """dataclasses.replace for box3d and frame_id, which __post_init__ does not
+    check: the record's other fields were checked when it was built, and are
+    copied without checking them again."""
+    new = object.__new__(type(record))
+    new.__dict__.update(record.__dict__, **changes)
+    return new
+
+
 @dataclass(frozen=True)
 class FrameRecord:
     """One image frame with its annotations and calibration reference."""
@@ -247,7 +256,8 @@ def _annotation_to_dict(record: AnnotationRecord) -> dict:
 
 def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
     # ValueError and OverflowError come from float(), int() and Occlusion() of
-    # a value of the wrong kind: a string, an Infinity or an unknown level.
+    # a value of the wrong kind: a string, an Infinity, an unknown level or a
+    # fractional occlusion.
     try:
         box = obj["box3d"]
         box3d = Box3D(
@@ -257,10 +267,13 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
                 box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0)
             ),
         )
+        occlusion = obj.get("occlusion", 0)
+        if type(occlusion) is float and not occlusion.is_integer():
+            raise ValueError(f"occlusion {occlusion!r} is not a whole number")
         kwargs = dict(
             class_name=obj["class_name"],
             truncation=float(obj.get("truncation", 0.0)),
-            occlusion=Occlusion(int(obj.get("occlusion", 0))),
+            occlusion=Occlusion(int(occlusion)),
             box2d=tuple(obj["box2d"]) if obj.get("box2d") is not None else None,
             box3d=box3d,
             frame_id=obj.get("frame_id", frame_id),
@@ -330,6 +343,9 @@ def load_manifest(text: str) -> DatasetManifest:
     for index, fobj in enumerate(doc["frames"]):
         try:
             frame_id = fobj["frame_id"]
+            image_size = tuple(fobj.get("image_size", (0, 0)))
+            if any(type(v) is float and not v.is_integer() for v in image_size):
+                raise SchemaError(f"image_size {list(image_size)!r} of frame {frame_id!r} must hold whole numbers")
             annotations = tuple(
                 _annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
             )
@@ -337,7 +353,7 @@ def load_manifest(text: str) -> DatasetManifest:
                 FrameRecord(
                     frame_id=frame_id,
                     image_path=fobj.get("image_path", ""),
-                    image_size=tuple(fobj.get("image_size", (0, 0))),
+                    image_size=image_size,
                     calibration_ref=fobj.get("calibration_ref", ""),
                     annotations=annotations,
                     tags=tuple((k, v) for k, v in fobj.get("tags", {}).items()),

@@ -202,86 +202,182 @@ def _corners(centers: np.ndarray, rotations: np.ndarray, halves: np.ndarray) -> 
 # box axes (a's local x, y, z, then b's), outward + for even k, - for odd.
 _PLANE_AXIS = np.repeat(np.arange(6), 2)
 _PLANE_SIGN = np.tile([1.0, -1.0], 6)
-# Candidate vertices: 20 triples of axes times 8 sign choices, the 160 plane
-# triples that hold no parallel pair from one box.
-_TRIPLE_AXES = np.array(list(itertools.combinations(range(6), 3)))
-_TRIPLE_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
-_VERTEX_PLANES = (2 * _TRIPLE_AXES[:, None] + (_TRIPLE_SIGNS < 0)).reshape(-1, 3)
-# The 40 candidate vertices on each plane, and the two box axes spanning it.
+# Planes k of a and l of b face the same way when a's axis k // 2 is b's axis
+# l // 2 times +1 (_FACING 0) or -1 (_FACING 1).
+_FACING = (_PLANE_SIGN[:6, None] != _PLANE_SIGN[6:]).astype(np.intp)
+# Each box of a pair owns the vertex candidates on its 12 edges; side s = 0 is
+# a, 1 is b. Edge e runs along its free axis with the other two axes at signed
+# levels, and edges 0-3 run along axis 0, so their ends are the 8 corners.
+# Crossing x of an edge meets the other box's face plane along axis
+# _CROSS_AXIS[x] at the level of sign _CROSS_SIGN[x]; _CROSS_REST are the
+# other box's two remaining axes.
+_EDGE_FREE = np.repeat(np.arange(3), 4)
+_EDGE_FIXED = (_EDGE_FREE[:, None] + [1, 2]) % 3
+_EDGE_SIGNS = np.tile(list(itertools.product((0, 1), repeat=2)), (3, 1))  # 0: +, 1: -
+_CROSS_AXIS = np.repeat(np.arange(3), 2)
+_CROSS_SIGN = np.tile([0, 1], 3)
+_CROSS_REST = (_CROSS_AXIS[:, None] + [1, 2]) % 3
+# Offsets in the kernel's per-pair row of vertex coordinate values: the 12
+# plane levels, in plane order; each crossing's free coordinate (side,
+# crossing, edge); its other-box coordinates along _CROSS_REST[:, 0], then
+# along _CROSS_REST[:, 1]; and the corners' other-box coordinates (side,
+# axis, edge, end).
+_LEVELS, _FREES, _RESTS, _CORNERS, _VALUES = 0, 12, 156, 444, 492
+
+
+def _vertex_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate vertex: its 6 coordinates (a's local x, y, z, then b's)
+    as offsets in the per-pair value row, and the 3 planes it lies on.
+
+    Side s holds candidates 80 s to 80 s + 79: its 8 corners (edge, end),
+    then its 72 crossings (crossing, edge).
+    """
+    coords, planes = [], []
+    for s in (0, 1):
+        own, other = 3 * s, 3 * (1 - s)
+        for e in range(4):
+            for end in (0, 1):
+                signs = (end, *_EDGE_SIGNS[e])
+                row = [0] * 6
+                for c in range(3):
+                    row[own + c] = _LEVELS + 2 * (own + c) + signs[c]
+                    row[other + c] = _CORNERS + ((3 * s + c) * 4 + e) * 2 + end
+                coords.append(row)
+                planes.append([2 * (own + c) + signs[c] for c in range(3)])
+        for x in range(6):
+            crossed = (_CROSS_AXIS[x], _CROSS_SIGN[x])
+            for e in range(12):
+                fixed = list(zip(_EDGE_FIXED[e], _EDGE_SIGNS[e]))
+                crossing = (6 * s + x) * 12 + e
+                row = [0] * 6
+                row[own + _EDGE_FREE[e]] = _FREES + crossing
+                for c, sign in fixed:
+                    row[own + c] = _LEVELS + 2 * (own + c) + sign
+                row[other + crossed[0]] = _LEVELS + 2 * (other + crossed[0]) + crossed[1]
+                for r, c in enumerate(_CROSS_REST[x]):
+                    row[other + c] = _RESTS + 144 * r + crossing
+                coords.append(row)
+                planes.append([2 * (own + c) + sign for c, sign in fixed] + [2 * (other + crossed[0]) + crossed[1]])
+    return np.array(coords), np.array(planes)
+
+
+_VERTEX_COORDS, _VERTEX_PLANES = _vertex_tables()
+# The 40 candidate vertices on each plane, and the offsets of their two
+# coordinates along the box axes spanning it.
 _FACE_VERTICES = np.array([np.flatnonzero(np.any(_VERTEX_PLANES == k, axis=1)) for k in range(12)])
-_FACE_UV = np.stack([_PLANE_AXIS // 3 * 3 + (_PLANE_AXIS + k) % 3 for k in (1, 2)])[..., None]
+_FACE_UV = np.stack([_PLANE_AXIS // 3 * 3 + (_PLANE_AXIS + k) % 3 for k in (1, 2)], axis=1)
+_FACE_VALUES = _VERTEX_COORDS[_FACE_VERTICES, _FACE_UV.T[:, :, None]].reshape(2, -1)
 _PLANE_EPS = 1e-9  # a vertex this close outside a plane is inside it
 _PARALLEL_EPS = 1e-12  # unit normals this close per component are parallel
-_BATCH = 32  # pairs per kernel call; bounds the working set at about 43 KB a pair
+_BATCH = 32  # pairs per kernel call; bounds the working set at about 22 KB a pair
 
 
 # A pair gets the same bits in any batch: np.sum and matmul may reorder their
-# additions with the array shape, so sums are written out or read off cumsum.
+# additions with the array shape, so sums are written out.
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def _sum(x: np.ndarray) -> np.ndarray:
-    return np.cumsum(x, axis=-1)[..., -1]
+    """Sum over the last axis, left to right."""
+    total = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total = total + x[..., k]
+    return total
 
 
 def _intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
     """Exact intersection volume of each box pair (a[k], b[k]).
 
     a and b are (centers (P, 3), rotations (P, 3, 3), half extents (P, 3) along
-    local x, y, z). The polytope's vertices are the points of the 160 plane
-    triples inside all 12 planes; its volume is the sum of face area x height / 3
-    about an interior point, each area a shoelace sum over vertices by angle.
+    local x, y, z). The polytope's vertices are the box corners and the points
+    where an edge of one box crosses a face plane of the other that lie inside
+    all 12 planes, found in closed form in the two box frames about a's center.
+    Its volume is the sum of face area x the face plane's height above a's
+    center / 3, each area a shoelace sum over the face's vertices by angle.
+    Arrays run along the candidates of every pair, not along 3-vectors.
     """
-    axes = np.concatenate([a[1], b[1]], axis=2).transpose(0, 2, 1)
-    half = np.concatenate([a[2], b[2]], axis=1)
-    # Each box's center along each axis, with the origin at a's center.
-    proj = np.concatenate([np.zeros_like(a[2]), _dot(axes[:, 3:], (b[0] - a[0])[:, None])], axis=1)
+    pairs = len(a[0])
+    ra, rb = a[1], b[1]
+    diff = b[0] - a[0]
+    # m[i, j] = a_i . b_j for the box axes (rotation columns); b's center about
+    # a's in a's axes (d) and in b's axes (e).
+    m = ra[:, 0, :, None] * rb[:, 0, None, :] + ra[:, 1, :, None] * rb[:, 1, None, :]
+    m += ra[:, 2, :, None] * rb[:, 2, None, :]
+    d = _dot(ra.swapaxes(1, 2), diff[:, None])
+    e = _dot(rb.swapaxes(1, 2), diff[:, None])
 
     # Of two parallel planes facing the same way, one per box, the outer one
     # (b's on a tie) bounds nothing and is dropped: its face would repeat.
-    normals = axes[:, _PLANE_AXIS] * _PLANE_SIGN[:, None]
-    offsets = _PLANE_SIGN * proj[:, _PLANE_AXIS] + half[:, _PLANE_AXIS]
-    aligned = np.all(np.abs(normals[:, :6, None] - normals[:, None, 6:]) <= _PARALLEL_EPS, axis=3)
+    turned = rb[:, None] * np.array([1.0, -1.0])[:, None, None]
+    parallel = np.all(np.abs(ra[:, None, :, :, None] - turned[:, :, :, None, :]) <= _PARALLEL_EPS, axis=2)
+    aligned = parallel[:, _FACING, _PLANE_AXIS[:6, None], _PLANE_AXIS[6:] - 3]
+    half = np.concatenate([a[2], b[2]], axis=1)
+    offsets = _PLANE_SIGN * np.concatenate([np.zeros_like(e), e], axis=1)[:, _PLANE_AXIS] + half[:, _PLANE_AXIS]
     b_outer = offsets[:, None, 6:] >= offsets[:, :6, None]
     redundant = np.hstack([np.any(aligned & ~b_outer, axis=2), np.any(aligned & b_outer, axis=1)])
 
-    # Cramer's rule for axis_i . x = proj_i + sign_i half_i, then in box frames.
-    triple = axes[:, _TRIPLE_AXES]
-    cofactors = np.cross(triple[:, :, [1, 2, 0]], triple[:, :, [2, 0, 1]])
-    det = _dot(triple[:, :, 0], cofactors[:, :, 0])
-    solvable = np.abs(det) > _PARALLEL_EPS
-    level = proj[:, _TRIPLE_AXES[:, None]] + _TRIPLE_SIGNS * half[:, _TRIPLE_AXES[:, None]]
-    points = _dot(level[..., None, :], cofactors.swapaxes(2, 3)[:, :, None])
-    points = (points / np.where(solvable, det, 1.0)[..., None, None]).reshape(len(axes), -1, 3)
-    coords = _dot(axes[:, :, None], points[:, None]) - proj[..., None]
-    usable = np.repeat(solvable, len(_TRIPLE_SIGNS), axis=1) & ~np.any(redundant[:, _VERTEX_PLANES], 2)
-    feasible = usable & np.all(np.abs(coords) <= half[..., None] + _PLANE_EPS, axis=1)
+    # Per side, a point's other-box coordinates are t own + g, with t[j, c]
+    # the dot product of the other box's axis j and the own box's axis c.
+    t = np.stack([m.swapaxes(1, 2), m], axis=1)
+    g = np.stack([-e, d], axis=1)
+    levels = half.reshape(pairs, 2, 3, 1) * [1.0, -1.0]
+    fixed = levels[:, :, None, _EDGE_FIXED, _EDGE_SIGNS]
+    rows = t[..., _EDGE_FIXED]
+    # Other-box coordinates of each edge's point at free coordinate 0, and
+    # their change per unit of it: (pair, side, other axis, edge).
+    base = rows[..., 0] * fixed[..., 0] + rows[..., 1] * fixed[..., 1] + g[..., None]
+    step = t[..., _EDGE_FREE]
+    # A crossing solves one equation in the free coordinate. Its divisor is the
+    # determinant of the normals of the crossing's three planes, near 0 when
+    # the edge runs parallel to the face: (pair, side, crossing, edge).
+    pivot = step[:, :, _CROSS_AXIS]
+    solvable = np.abs(pivot) > _PARALLEL_EPS
+    free = levels[:, ::-1, _CROSS_AXIS, _CROSS_SIGN, None] - base[:, :, _CROSS_AXIS]
+    free /= np.where(solvable, pivot, 1.0)
+    rest = [base[:, :, _CROSS_REST[:, r]] + free * step[:, :, _CROSS_REST[:, r]] for r in (0, 1)]
+    corner = base[..., :4, None] + levels[:, :, 0, None, None] * step[..., :4, None]
+
+    limit = half.reshape(pairs, 2, 3) + _PLANE_EPS
+    other_limit = limit[:, ::-1, :, None]
+    inside = solvable & (np.abs(free) <= limit[:, :, None, _EDGE_FREE])
+    for r in (0, 1):
+        inside &= np.abs(rest[r]) <= other_limit[:, :, _CROSS_REST[:, r]]
+    corner_inside = np.abs(corner) <= other_limit[..., None]
+    corner_inside = corner_inside[:, :, 0] & corner_inside[:, :, 1] & corner_inside[:, :, 2]
+    feasible = np.concatenate([corner_inside.reshape(pairs, 2, 8), inside.reshape(pairs, 2, 72)], axis=2)
+    dropped = redundant[:, _VERTEX_PLANES.T]
+    feasible = feasible.reshape(pairs, -1) & ~(dropped[:, 0] | dropped[:, 1] | dropped[:, 2])
+    values = np.concatenate([x.reshape(pairs, -1) for x in (levels, free, *rest, corner)], axis=1)
 
     # Each face's vertices first, in candidate order, in as many slots as the
-    # widest face of the batch holds; empty slots add zeros to the sums below.
-    member = feasible[:, _FACE_VERTICES]
-    width = max(int(np.count_nonzero(member, axis=2).max(initial=0)), 1)
-    slot = np.argsort(~member, axis=2, kind="stable")[..., :width]
-    member = np.take_along_axis(member, slot, axis=2)[:, None]
-    vertex = _FACE_VERTICES[np.arange(12)[:, None], slot][:, None]
-    uv = np.where(member, coords[np.arange(len(axes))[:, None, None, None], _FACE_UV, vertex], 0.0)
+    # widest face of the batch holds: a member's slot is the count before it.
+    hit = np.flatnonzero(feasible[:, _FACE_VERTICES])
+    face = hit // _FACE_VERTICES.shape[1]
+    count = np.bincount(face, minlength=pairs * 12)
+    width = max(int(count.max(initial=0)), 1)
+    slot = face * width + np.arange(hit.size) - (np.cumsum(count) - count)[face]
+    pair, member = np.divmod(hit, _FACE_VERTICES.size)
+    uv = np.zeros((2, pairs * 12 * width))
+    for k in (0, 1):  # np.take, as fancy indexing along a row is slower here
+        uv[k, slot] = np.take(values, pair * _VALUES + np.take(_FACE_VALUES[k], member))
+    uv = uv.reshape(2, pairs, 12, width)
+    count = count.reshape(pairs, 12)
 
     # Face vertices in the two axes spanning the face, about their centroid,
-    # ordered by angle; padding with the first vertex adds zero-length edges.
-    uv -= _sum(uv)[..., None] / np.maximum(np.count_nonzero(member, axis=3), 1)[..., None]
-    angle = np.where(member[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf)
-    order = np.argsort(angle, axis=2, kind="stable")[:, None]
-    uv, member = np.take_along_axis(uv, order, axis=3), np.take_along_axis(member, order, axis=3)
-    x, y = np.where(member, uv, uv[..., :1]).transpose(1, 0, 2, 3)
-    following = np.roll(np.arange(width), -1)
+    # ordered by angle; padding repeats the first vertex, adding zero-length
+    # edges, and the last vertex's edge closes on the first.
+    filled = np.arange(width) < count[..., None]
+    uv -= (_sum(uv) / np.maximum(count, 1))[..., None]
+    angle = np.where(filled, np.arctan2(uv[1], uv[0]), np.inf)
+    order = np.argsort(angle, axis=2, kind="stable")
+    order = np.where(filled, order, order[..., :1]) + (np.arange(pairs * 12) * width).reshape(pairs, 12, 1)
+    x, y = np.take(uv.reshape(2, -1), order, axis=1)
+    following = (np.arange(width) + 1) % width
     area = 0.5 * _sum(x * y[..., following] - x[..., following] * y)
-
-    # Face heights above the mean of the vertices, an interior point.
-    inner = _sum(np.where(feasible[:, None], coords, 0.0))
-    inner /= np.maximum(np.count_nonzero(feasible, axis=1), 1)[:, None]
-    height = half[:, _PLANE_AXIS] - _PLANE_SIGN * inner[:, _PLANE_AXIS]
-    return _sum(area * height) / 3.0
+    # The divergence theorem holds about any point, so each face's height is
+    # its plane's offset from a's center, negative when that center is outside.
+    return _sum(area * offsets) / 3.0
 
 
 def _rotations(angles: Sequence[tuple[float, float, float]]) -> np.ndarray:
@@ -298,12 +394,22 @@ def _rotations(angles: Sequence[tuple[float, float, float]]) -> np.ndarray:
     return product
 
 
+def _box_params(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(N, 9) rows of (center, dims, yaw, pitch, roll), one per box."""
+    return np.array([(*b.center, *b.dims, *b.orientation.as_tuple()) for b in boxes]).reshape(-1, 9)
+
+
+def _param_arrays(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, rotations, half extents along local x, y, z) of _box_params rows."""
+    centers = params[:, :3].copy()
+    rotations = _rotations(params[:, 6:].tolist())
+    halves = params[:, [4, 3, 5]] * 0.5
+    return centers, rotations, halves
+
+
 def _box_arrays(boxes: Sequence[Box3D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(centers, rotations, half extents along local x, y, z) of boxes."""
-    centers = np.array([box.center for box in boxes]).reshape(-1, 3)
-    rotations = _rotations([box.orientation.as_tuple() for box in boxes])
-    halves = np.array([(b.width, b.height, b.length) for b in boxes]).reshape(-1, 3) * 0.5
-    return centers, rotations, halves
+    return _param_arrays(_box_params(boxes))
 
 
 def _precedes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -339,43 +445,37 @@ def iou3d_matrix(boxes_a: Sequence[Box3D], boxes_b: Sequence[Box3D]) -> np.ndarr
 def _iou_sweep(groups: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]]) -> list[np.ndarray]:
     """iou3d_matrix of each (boxes_a, boxes_b) group, from one kernel sweep.
 
-    Gathers the AABB-surviving pairs of every group, runs them all through
-    the kernel in batches of _BATCH pairs, and scatters the IoUs back into
-    each group's matrix. Each pair goes in a canonical argument order: the
-    box whose (center, dims, yaw, pitch, roll) is smaller as a tuple first.
+    Lists every cell of every group's matrix at once, keeps the pairs whose
+    axis-aligned bounds meet, runs them all through the kernel in batches of
+    _BATCH pairs, and scatters the IoUs back. Each pair goes in a canonical
+    argument order: the box whose (center, dims, yaw, pitch, roll) is smaller
+    as a tuple first.
     """
-    boxes = [box for group in groups for side in group for box in side]
-    centers, rotations, halves = params = _box_arrays(boxes)
+    shapes = [(len(boxes_a), len(boxes_b)) for boxes_a, boxes_b in groups]
+    params = _box_params([box for group in groups for side in group for box in side])
+    centers, rotations, halves = arrays = _param_arrays(params)
     extent = _dot(np.abs(rotations), halves[:, None])
     lo, hi = centers - extent, centers + extent
-    keys = np.array([(*b.center, *b.dims, *b.orientation.as_tuple()) for b in boxes]).reshape(-1, 9)
-    cells, first, second = [], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
-    start = 0
-    for boxes_a, boxes_b in groups:
-        mid = start + len(boxes_a)
-        end = mid + len(boxes_b)
-        disjoint = np.any(lo[start:mid, None] > hi[None, mid:end], axis=2)
-        disjoint |= np.any(lo[None, mid:end] > hi[start:mid, None], axis=2)
-        rows, cols = np.nonzero(~disjoint)
-        i, j = rows + start, cols + mid
-        swap = _precedes(keys[j], keys[i])
-        first.append(np.where(swap, j, i))
-        second.append(np.where(swap, i, j))
-        cells.append((rows, cols))
-        start = end
-    first, second = np.concatenate(first), np.concatenate(second)
+    volumes = params[:, 3] * params[:, 4] * params[:, 5]
+    # Cell (row, col) of group k pairs box start_k + row with start_k + rows_k + col.
+    rows, cols = np.array(shapes, dtype=np.intp).reshape(-1, 2).T
+    cells = rows * cols
+    ends = np.cumsum(cells)
+    group = np.repeat(np.arange(len(groups)), cells)
+    cell = np.arange(group.size) - (ends - cells)[group]
+    start = (np.cumsum(rows + cols) - rows - cols)[group]
+    i = start + cell // cols[group]
+    j = start + rows[group] + cell % cols[group]
+    meet = ~(np.any(lo[i] > hi[j], axis=1) | np.any(lo[j] > hi[i], axis=1))
+    i, j = i[meet], j[meet]
+    swap = _precedes(params[j], params[i])
+    first, second = np.where(swap, j, i), np.where(swap, i, j)
+    pair_a, pair_b = ([p[side] for p in arrays] for side in (first, second))
     inter = np.zeros(first.size)
     for k in range(0, first.size, _BATCH):
         batch = slice(k, k + _BATCH)
-        pair_a, pair_b = (tuple(p[side[batch]] for p in params) for side in (first, second))
-        inter[batch] = _intersection_volumes(pair_a, pair_b)
-    volumes = np.array([box.volume for box in boxes])
+        inter[batch] = _intersection_volumes(tuple(p[batch] for p in pair_a), tuple(p[batch] for p in pair_b))
     inter = np.minimum(np.maximum(inter, 0.0), np.minimum(volumes[first], volumes[second]))
-    iou = np.clip(inter / (volumes[first] + volumes[second] - inter), 0.0, 1.0)
-    out, k = [], 0
-    for (boxes_a, boxes_b), (rows, cols) in zip(groups, cells):
-        matrix = np.zeros((len(boxes_a), len(boxes_b)))
-        matrix[rows, cols] = iou[k : k + rows.size]
-        out.append(matrix)
-        k += rows.size
-    return out
+    iou = np.zeros(group.size)
+    iou[meet] = np.clip(inter / (volumes[first] + volumes[second] - inter), 0.0, 1.0)
+    return [iou[end - size : end].reshape(shape) for end, size, shape in zip(ends.tolist(), cells.tolist(), shapes)]

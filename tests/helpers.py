@@ -28,6 +28,10 @@ from roadkit.formats import (
     Occlusion,
 )
 from roadkit.geometry import (
+    _PARALLEL_EPS,
+    _PLANE_AXIS,
+    _PLANE_EPS,
+    _PLANE_SIGN,
     TAU,
     Box3D,
     EulerOrientation,
@@ -36,6 +40,7 @@ from roadkit.geometry import (
     iou3d,
     rotation_from_euler,
     validate_rotation,
+    _dot,
 )
 
 
@@ -288,27 +293,40 @@ def reference_intersection_volume(a: Box3D, b: Box3D) -> float:
     return min(max(vol, 0.0), min(a.volume, b.volume))
 
 
-def padded_intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
-    """The batched kernel as it was before its face stage was compacted.
+# The plane-triple kernel's tables. Plane k of a pair faces along axis k // 2
+# of the six box axes (a's, then b's); a candidate vertex is one of the 160
+# triples of planes that hold no parallel pair from one box.
+_TRIPLE_AXES = np.array(list(itertools.combinations(range(6), 3)))
+_TRIPLE_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+_TRIPLE_VERTEX_PLANES = (2 * _TRIPLE_AXES[:, None] + (_TRIPLE_SIGNS < 0)).reshape(-1, 3)
+_TRIPLE_FACE_VERTICES = np.array(
+    [np.flatnonzero(np.any(_TRIPLE_VERTEX_PLANES == k, axis=1)) for k in range(12)]
+)
+_TRIPLE_FACE_UV = np.stack([_PLANE_AXIS // 3 * 3 + (_PLANE_AXIS + k) % 3 for k in (1, 2)])[..., None]
 
-    Same arguments and plane-triple stage as roadkit.geometry's
-    _intersection_volumes, but each of the 12 faces keeps all 40 candidate
-    slots through the centroid, angle sort and shoelace sum. The library's
-    kernel must give the same bits.
+
+def _cumsum_total(x: np.ndarray) -> np.ndarray:
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _triple_planes(a: tuple, b: tuple):
+    """The plane-triple stage shared by the two kernels below.
+
+    Returns each vertex's coordinates along the six box axes (P, 6, 160), its
+    feasibility (P, 160), and the half extents (P, 6).
     """
-    from roadkit.geometry import (
-        _FACE_UV, _FACE_VERTICES, _PARALLEL_EPS, _PLANE_AXIS, _PLANE_EPS, _PLANE_SIGN,
-        _TRIPLE_AXES, _TRIPLE_SIGNS, _VERTEX_PLANES, _dot, _sum,
-    )
-
     axes = np.concatenate([a[1], b[1]], axis=2).transpose(0, 2, 1)
     half = np.concatenate([a[2], b[2]], axis=1)
+    # Each box's center along each axis, with the origin at a's center.
     proj = np.concatenate([np.zeros_like(a[2]), _dot(axes[:, 3:], (b[0] - a[0])[:, None])], axis=1)
+    # Of two parallel planes facing the same way, one per box, the outer one
+    # (b's on a tie) bounds nothing and is dropped: its face would repeat.
     normals = axes[:, _PLANE_AXIS] * _PLANE_SIGN[:, None]
     offsets = _PLANE_SIGN * proj[:, _PLANE_AXIS] + half[:, _PLANE_AXIS]
     aligned = np.all(np.abs(normals[:, :6, None] - normals[:, None, 6:]) <= _PARALLEL_EPS, axis=3)
     b_outer = offsets[:, None, 6:] >= offsets[:, :6, None]
     redundant = np.hstack([np.any(aligned & ~b_outer, axis=2), np.any(aligned & b_outer, axis=1)])
+    # Cramer's rule for axis_i . x = proj_i + sign_i half_i, then in box frames.
     triple = axes[:, _TRIPLE_AXES]
     cofactors = np.cross(triple[:, :, [1, 2, 0]], triple[:, :, [2, 0, 1]])
     det = _dot(triple[:, :, 0], cofactors[:, :, 0])
@@ -317,23 +335,60 @@ def padded_intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
     points = _dot(level[..., None, :], cofactors.swapaxes(2, 3)[:, :, None])
     points = (points / np.where(solvable, det, 1.0)[..., None, None]).reshape(len(axes), -1, 3)
     coords = _dot(axes[:, :, None], points[:, None]) - proj[..., None]
-    usable = np.repeat(solvable, len(_TRIPLE_SIGNS), axis=1) & ~np.any(redundant[:, _VERTEX_PLANES], 2)
+    usable = np.repeat(solvable, len(_TRIPLE_SIGNS), axis=1) & ~np.any(redundant[:, _TRIPLE_VERTEX_PLANES], 2)
     feasible = usable & np.all(np.abs(coords) <= half[..., None] + _PLANE_EPS, axis=1)
+    return coords, feasible, half
 
-    member = feasible[:, None, _FACE_VERTICES]
-    uv = np.where(member, coords[:, _FACE_UV, _FACE_VERTICES], 0.0)
-    uv -= _sum(uv)[..., None] / np.maximum(np.count_nonzero(member, axis=3), 1)[..., None]
+
+def triple_intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
+    """The batched kernel before its candidates were found in closed form.
+
+    Same arguments as roadkit.geometry's _intersection_volumes. Every one of
+    the 160 plane triples is solved by Cramer's rule in world axes and moved
+    into the box frames; each face keeps its vertices first, in candidate
+    order, in as many slots as the widest face of the batch holds; heights
+    are taken above the mean of all vertices.
+    """
+    coords, feasible, half = _triple_planes(a, b)
+    member = feasible[:, _TRIPLE_FACE_VERTICES]
+    width = max(int(np.count_nonzero(member, axis=2).max(initial=0)), 1)
+    slot = np.argsort(~member, axis=2, kind="stable")[..., :width]
+    member = np.take_along_axis(member, slot, axis=2)[:, None]
+    vertex = _TRIPLE_FACE_VERTICES[np.arange(12)[:, None], slot][:, None]
+    uv = np.where(member, coords[np.arange(len(coords))[:, None, None, None], _TRIPLE_FACE_UV, vertex], 0.0)
+    return _face_areas(uv, member, width, coords, feasible, half)
+
+
+def padded_intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
+    """triple_intersection_volumes as it was before its face stage was compacted.
+
+    Each of the 12 faces keeps all 40 candidate slots through the centroid,
+    angle sort and shoelace sum. triple_intersection_volumes must give the
+    same bits.
+    """
+    coords, feasible, half = _triple_planes(a, b)
+    member = feasible[:, None, _TRIPLE_FACE_VERTICES]
+    uv = np.where(member, coords[:, _TRIPLE_FACE_UV, _TRIPLE_FACE_VERTICES], 0.0)
+    return _face_areas(uv, member, _TRIPLE_FACE_VERTICES.shape[1], coords, feasible, half)
+
+
+def _face_areas(uv, member, width, coords, feasible, half):
+    """The face stage and volume of the two kernels above, given each face's
+    vertex coordinates (P, 2, 12, width) and membership (P, 1, 12, width)."""
+    # Face vertices in the two axes spanning the face, about their centroid,
+    # ordered by angle; padding with the first vertex adds zero-length edges.
+    uv = uv - _cumsum_total(uv)[..., None] / np.maximum(np.count_nonzero(member, axis=3), 1)[..., None]
     angle = np.where(member[:, 0], np.arctan2(uv[:, 1], uv[:, 0]), np.inf)
     order = np.argsort(angle, axis=2, kind="stable")[:, None]
     uv, member = np.take_along_axis(uv, order, axis=3), np.take_along_axis(member, order, axis=3)
     x, y = np.where(member, uv, uv[..., :1]).transpose(1, 0, 2, 3)
-    following = np.roll(np.arange(_FACE_VERTICES.shape[1]), -1)
-    area = 0.5 * _sum(x * y[..., following] - x[..., following] * y)
-
-    inner = _sum(np.where(feasible[:, None], coords, 0.0))
+    following = np.roll(np.arange(width), -1)
+    area = 0.5 * _cumsum_total(x * y[..., following] - x[..., following] * y)
+    # Face heights above the mean of the vertices, an interior point.
+    inner = _cumsum_total(np.where(feasible[:, None], coords, 0.0))
     inner /= np.maximum(np.count_nonzero(feasible, axis=1), 1)[:, None]
     height = half[:, _PLANE_AXIS] - _PLANE_SIGN * inner[:, _PLANE_AXIS]
-    return _sum(area * height) / 3.0
+    return _cumsum_total(area * height) / 3.0
 
 
 def euler_matrix_oracle(yaw: float, pitch: float, roll: float) -> np.ndarray:

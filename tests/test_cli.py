@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from roadkit.cli import _build_parser, main
+from roadkit.cli import _build_parser, _load_detection_dir, main
 from roadkit.evaluation import EvalReport
-from roadkit.formats import load_manifest, parse_labels
+from roadkit.formats import DetectionRecord, load_manifest, parse_labels
 
 
 @pytest.fixture()
@@ -175,6 +176,22 @@ class TestSplitCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize("where, value", [("image_size", [1920.7, 1080]), ("occlusion", 1.5)])
+    def test_fractional_value_exits_1(self, corpus, tmp_path, capsys, where, value):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        frame = doc["frames"][2]
+        if where == "image_size":
+            frame["image_size"] = value
+        else:
+            frame["annotations"][0]["occlusion"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", "--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert repr(frame["frame_id"]) in err and repr(value) in err
+
+
 class TestEvalCommand:
     def test_perfect_detections(self, corpus, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -215,7 +232,7 @@ class TestEvalCommand:
             outs.append((tmp_path / name).read_text())
         assert outs[0] == outs[1]
 
-    def test_labels_without_scores_rejected(self, corpus):
+    def test_labels_without_scores_rejected(self, corpus, capsys):
         code = main(
             [
                 "eval",
@@ -226,6 +243,24 @@ class TestEvalCommand:
             ]
         )
         assert code == 1
+        first = sorted((corpus / "labels").glob("*.txt"))[0].name
+        assert capsys.readouterr().err == (
+            f"roadkit eval: error: {first}: detection lines must carry a score column\n"
+        )
+
+    def test_detection_records_checked_once(self, corpus, monkeypatch):
+        # Each record is checked when its line is parsed, not again when it
+        # takes its frame id.
+        expected = {
+            path.stem: [dataclasses.replace(r, frame_id=path.stem) for r in parse_labels(path.read_text())]
+            for path in sorted((corpus / "detections").glob("*.txt"))
+        }
+        checks = []
+        check = DetectionRecord.__post_init__
+        monkeypatch.setattr(DetectionRecord, "__post_init__", lambda r: checks.append(check(r)))
+        loaded = _load_detection_dir(corpus / "detections")
+        assert loaded == expected
+        assert len(checks) == sum(map(len, expected.values())) > 0
 
 
 class TestConvertCommand:

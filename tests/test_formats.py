@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,7 @@ from roadkit.formats import (
     remap_classes,
     write_labels,
 )
-from roadkit.formats import _parse_kitti_line
+from roadkit.formats import _parse_kitti_line, _with_fields
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
 from helpers import (
@@ -103,6 +104,19 @@ class TestRecords:
         frame = FrameRecord(frame_id="f0", annotations=(make_annotation(class_name="Bike"),))
         with pytest.raises(ValidationError):
             DatasetManifest(name="d", class_taxonomy=("Car",), frames=(frame,))
+
+    @pytest.mark.parametrize("make", [make_annotation, make_detection])
+    def test_with_fields_equals_replace_without_checks(self, make, monkeypatch):
+        record = make(truncation=0.25, occlusion=1, box2d=(1, 2, 3, 4), frame_id="f0")
+        box = Box3D(center=(1, 2, 30), dims=(1.5, 1.8, 4.2), orientation=EulerOrientation(0.3, 0.1, -0.2))
+        expected = [dataclasses.replace(record, frame_id="f9"), dataclasses.replace(record, box3d=box)]
+        checks = []
+        monkeypatch.setattr(type(record), "__post_init__", lambda r: checks.append(r))
+        moved = [_with_fields(record, frame_id="f9"), _with_fields(record, box3d=box)]
+        assert checks == []
+        assert moved == expected
+        assert [type(r) for r in moved] == [type(record)] * 2
+        assert record.frame_id == "f0" and record.box3d != box  # the original is untouched
 
     def test_frame_tags_sorted(self):
         frame = FrameRecord(frame_id="f0", tags={"weather": "sunny", "time": "day"})
@@ -441,6 +455,27 @@ class TestManifestJson:
     def test_bad_frame_value_names_index(self, frame):
         with pytest.raises(SchemaError, match="malformed frame object at index 1"):
             load_manifest(json.dumps({"frames": [{"frame_id": "e"}, frame]}))
+
+    @pytest.mark.parametrize("size", [[1920.7, 1080], [1920, 1080.5], [math.nan, 1080], [math.inf, 1]])
+    def test_fractional_image_size_names_frame(self, size):
+        doc = {"frames": [{"frame_id": "f0"}, {"frame_id": "f7", "image_size": size}]}
+        with pytest.raises(SchemaError, match="image_size .* of frame 'f7' must hold whole numbers"):
+            load_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [1.5, 0.25, -0.5])
+    def test_fractional_occlusion_names_frame(self, value):
+        annotation = {"class_name": "Car", "box3d": {"center": [0, 0, 10], "dims": [1, 2, 3]}, "occlusion": value}
+        doc = {"frames": [{"frame_id": "f0"}, {"frame_id": "f7", "annotations": [annotation]}]}
+        with pytest.raises(SchemaError, match=f"frame 'f7': occlusion {value!r} is not a whole number"):
+            load_manifest(json.dumps(doc))
+
+    def test_whole_float_values_load(self):
+        annotation = {"class_name": "Car", "box3d": {"center": [0, 0, 10], "dims": [1, 2, 3]}, "occlusion": 1.0}
+        doc = {"class_taxonomy": ["Car"],
+               "frames": [{"frame_id": "f7", "image_size": [1920.0, 1080.0], "annotations": [annotation]}]}
+        (frame,) = load_manifest(json.dumps(doc)).frames
+        assert frame.image_size == (1920, 1080) and all(type(v) is int for v in frame.image_size)
+        assert frame.annotations[0].occlusion is Occlusion.PARTLY
 
     @pytest.mark.parametrize("frames", [5, "abc", {"frame_id": "f"}])
     def test_frames_must_be_a_list(self, frames):

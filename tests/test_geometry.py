@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,9 @@ from roadkit.geometry import (
     validate_rotation,
 )
 import roadkit.geometry
-from roadkit.geometry import _BATCH, _box_arrays, _corners, _intersection_volumes, _iou_sweep, _precedes
+from roadkit.geometry import (
+    _BATCH, _PARALLEL_EPS, _box_arrays, _corners, _intersection_volumes, _iou_sweep, _precedes,
+)
 
 from helpers import (
     ConvexPolytope,
@@ -34,6 +37,7 @@ from helpers import (
     reference_box_corners,
     reference_intersection_volume,
     reference_normalize_angle,
+    triple_intersection_volumes,
 )
 
 
@@ -408,8 +412,60 @@ def _random_pairs() -> list[tuple[Box3D, Box3D]]:
     return [(random_box(rng), random_box(rng)) for _ in range(2000)]
 
 
+# The 24 rotations that map the coordinate axes onto themselves.
+_AXIS_TURNS = [
+    np.eye(3)[list(perm)] * np.array(signs)[:, None]
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+    if np.linalg.det(np.eye(3)[list(perm)] * np.array(signs)[:, None]) > 0.0
+]
+
+
+def _parallel_pairs() -> list[tuple[Box3D, Box3D, float]]:
+    """Pairs whose boxes have parallel axes, with the closed-form volume.
+
+    a is yawed only, or pitched to +/- pi/2 with a roll, or turned at random;
+    b is a itself, or a turned by one of the 24 axis turns (yaw multiples of
+    pi/2 among them), its center placed about a's along a's axes so that
+    faces are centered, flush inside, or touching from outside.
+    """
+    rng = np.random.default_rng(67)
+    placements = (
+        lambda ea, eb: 0.0,
+        lambda ea, eb: ea - eb,
+        lambda ea, eb: eb - ea,
+        lambda ea, eb: ea + eb,
+        lambda ea, eb: -ea - eb,
+    )
+    out = []
+    orientations = [EulerOrientation(rng.uniform(-math.pi, math.pi)) for _ in range(3)]
+    orientations += [EulerOrientation(rng.uniform(-math.pi, math.pi), pitch, rng.uniform(-math.pi, math.pi))
+                     for pitch in (math.pi / 2, -math.pi / 2)]
+    orientations += [random_orientation(rng) for _ in range(2)]
+    orientations += [EulerOrientation(), EulerOrientation(yaw=math.pi / 2), EulerOrientation(yaw=math.pi)]
+    for orientation in orientations:
+        rot_a = rotation_from_euler(orientation)
+        a = Box3D(center=tuple(rng.uniform(-5.0, 5.0, 3)), dims=tuple(rng.uniform(0.5, 3.0, 3)),
+                  orientation=orientation)
+        out.append((a, a, a.volume))
+        half_a = np.array([a.width, a.height, a.length]) / 2.0
+        for turn in _AXIS_TURNS:
+            dims = tuple(rng.choice([a.dims, tuple(rng.uniform(0.5, 3.0, 3))]))
+            half_b = np.array([dims[1], dims[0], dims[2]]) / 2.0
+            # b's axis j runs along a's axis i where turn[i, j] = +/-1.
+            along_a = np.abs(turn) @ half_b
+            offset = np.array([placements[k](ea, eb) for k, ea, eb in
+                               zip(rng.choice(5, 3, p=[0.3, 0.3, 0.3, 0.05, 0.05]), half_a, along_a)])
+            overlap = np.minimum(half_a, offset + along_a) - np.maximum(-half_a, offset - along_a)
+            b = Box3D(center=tuple(np.asarray(a.center) + rot_a @ offset), dims=dims,
+                      orientation=euler_from_rotation(rot_a @ turn))
+            out.append((a, b, float(np.prod(np.maximum(overlap, 0.0)))))
+    return out
+
+
 class TestKernelAgainstReference:
-    """The batched kernel against the half-space clipper in tests/helpers.py."""
+    """The kernel against the plane-triple kernel and the half-space clipper,
+    both in tests/helpers.py."""
 
     def test_random_pairs(self):
         pairs = _random_pairs()
@@ -418,32 +474,70 @@ class TestKernelAgainstReference:
         assert np.max(np.abs(single - reference)) <= 1e-12
         # The set holds disjoint pairs and many overlapping ones.
         assert 0 < np.count_nonzero(reference == 0.0) < 1000
-        # One kernel call over all pairs gives each pair the bits of its own call.
-        batch = _intersection_volumes(_box_arrays([a for a, _ in pairs]),
-                                      _box_arrays([b for _, b in pairs]))
-        bounds = [min(a.volume, b.volume) for a, b in pairs]
-        assert np.array_equal(np.minimum(np.maximum(batch, 0.0), bounds), single)
+        a = _box_arrays([a for a, _ in pairs])
+        b = _box_arrays([b for _, b in pairs])
+        triple = triple_intersection_volumes(a, b)
+        assert np.max(np.abs(_intersection_volumes(a, b) - triple)) <= 1e-12
+        volumes = np.array([x.volume + y.volume for x, y in pairs])
+        triple = np.minimum(np.maximum(triple, 0.0), [min(x.volume, y.volume) for x, y in pairs])
+        iou = single / (volumes - single)
+        assert np.max(np.abs(iou - reference / (volumes - reference))) <= 1e-12
+        assert np.max(np.abs(iou - triple / (volumes - triple))) <= 1e-12
+
+    def test_one_call_equals_one_pair_calls_by_bytes(self):
+        # Each pair gets the bits of its own call in a call of 2,000 pairs,
+        # whose widest face is wider than most pairs' own.
+        pairs = _random_pairs()
+        a = _box_arrays([a for a, _ in pairs])
+        b = _box_arrays([b for _, b in pairs])
+        batch = _intersection_volumes(a, b)
+        single = [_intersection_volumes(tuple(p[k : k + 1] for p in a), tuple(p[k : k + 1] for p in b))
+                  for k in range(len(pairs))]
+        assert np.concatenate(single).tobytes() == batch.tobytes()
+        bounds = [min(x.volume, y.volume) for x, y in pairs]
+        assert np.array_equal(np.minimum(np.maximum(batch, 0.0), bounds),
+                              [intersection_volume(x, y) for x, y in pairs])
 
     def test_compacted_faces_equal_padded_kernel(self):
         pairs = _random_pairs()
         a = _box_arrays([a for a, _ in pairs])
         b = _box_arrays([b for _, b in pairs])
-        batch = _intersection_volumes(a, b)
-        assert batch.tobytes() == padded_intersection_volumes(a, b).tobytes()
-        single = [_intersection_volumes(tuple(p[k : k + 1] for p in a), tuple(p[k : k + 1] for p in b))
-                  for k in range(len(pairs))]
-        assert np.concatenate(single).tobytes() == batch.tobytes()
+        assert triple_intersection_volumes(a, b).tobytes() == padded_intersection_volumes(a, b).tobytes()
 
     @pytest.mark.parametrize("seed", (43, 47))
     def test_matrix_box_sets(self, seed):
         a, b = _matrix_box_sets(seed)
         out = iou3d_matrix(a, b)
-        for i, box_a in enumerate(a):
-            for j, box_b in enumerate(b):
-                inter = reference_intersection_volume(box_a, box_b)
-                assert abs(intersection_volume(box_a, box_b) - inter) <= 1e-12, (i, j)
-                union = box_a.volume + box_b.volume - inter
-                assert abs(out[i, j] - inter / union) <= 1e-12, (i, j)
+        rows, cols = np.divmod(np.arange(len(a) * len(b)), len(b))
+        triple = triple_intersection_volumes(_box_arrays([a[i] for i in rows]), _box_arrays([b[j] for j in cols]))
+        for k, (i, j) in enumerate(zip(rows, cols)):
+            box_a, box_b = a[i], b[j]
+            inter = reference_intersection_volume(box_a, box_b)
+            assert abs(intersection_volume(box_a, box_b) - inter) <= 1e-12, (i, j)
+            union = box_a.volume + box_b.volume - inter
+            assert abs(out[i, j] - inter / union) <= 1e-12, (i, j)
+            clamped = min(max(float(triple[k]), 0.0), box_a.volume, box_b.volume)
+            assert abs(out[i, j] - clamped / (box_a.volume + box_b.volume - clamped)) <= 1e-12, (i, j)
+
+    def test_parallel_pairs(self):
+        # Identical boxes, yaw at multiples of pi/2, pitch +/- pi/2: the
+        # redundant-plane rule and the parallel-edge guard both act here.
+        pairs = _parallel_pairs()
+        a = _box_arrays([a for a, _, _ in pairs])
+        b = _box_arrays([b for _, b, _ in pairs])
+        m = np.matmul(a[1].swapaxes(1, 2), b[1])
+        assert np.count_nonzero(np.abs(m) <= _PARALLEL_EPS) >= 6 * len(pairs)
+        with np.errstate(all="raise"):  # no pivot near 0 is ever divided by
+            batch = _intersection_volumes(a, b)
+        triple = triple_intersection_volumes(a, b)
+        expected = np.array([v for _, _, v in pairs])
+        assert 0 < np.count_nonzero(expected == 0.0) < len(pairs) // 2
+        assert np.max(np.abs(batch - expected)) <= 1e-12
+        assert np.max(np.abs(batch - triple)) <= 1e-12
+        for (box_a, box_b, volume), inter in zip(pairs, batch):
+            assert intersection_volume(box_a, box_b) == min(max(float(inter), 0.0), box_a.volume, box_b.volume)
+            assert abs(reference_intersection_volume(box_a, box_b) - volume) <= 1e-12
+            assert iou3d(box_a, box_b) == iou3d(box_b, box_a)
 
 
 _ANGLE = st.floats(-math.pi, math.pi)
