@@ -201,25 +201,33 @@ def transform_box(
 
 
 def _transform_boxes(extrinsics: RigidTransform, boxes: Sequence[Box3D]) -> list[Box3D]:
-    """transform_box of each box, with one stacked product per quantity.
+    """transform_box of each box, raising the first rejected rotation's fault."""
+    centers, rotations, _ = _box_arrays(boxes)
+    moved, fault = _move_boxes(extrinsics, centers, [box.dims for box in boxes], rotations)
+    if fault is not None:
+        raise ValidationError(fault)
+    return moved
+
+
+def _move_boxes(
+    extrinsics: RigidTransform, centers: np.ndarray, dims: Sequence, rotations: np.ndarray
+) -> tuple[list[Box3D], str | None]:
+    """Move boxes, given as (N, 3) centers, (h, w, l) rows and (N, 3, 3)
+    rotations, into the transform's target frame with the bits of one box at a time.
 
     Each center goes through the same 1x3 row product as extrinsics.apply,
-    and each rotation through the same 3x3 product, so every box gets the
-    bits of a one-box call. The rotations are checked as validate_rotation
-    checks them; the boxes before the first one it rejects are built first,
-    as one call per box would build them.
+    and each rotation through the same 3x3 product. Returns the boxes before
+    the first moved rotation validate_rotation would reject, and that
+    rejection's message, or None when it rejects none.
     """
-    centers, rotations, _ = _box_arrays(boxes)
     centers = np.matmul(centers[:, None, :], extrinsics.rotation.T)[:, 0] + extrinsics.translation
     rotations = np.matmul(extrinsics.rotation, rotations)
     stop, fault = _first_invalid_rotation(rotations)
     moved = [
-        Box3D(center=center, dims=box.dims, orientation=EulerOrientation(*_euler_angles(rot)))
-        for center, box, rot in zip(centers[:stop].tolist(), boxes, rotations[:stop].tolist())
+        Box3D(center=center, dims=size, orientation=EulerOrientation(*_euler_angles(rot)))
+        for center, size, rot in zip(centers[:stop].tolist(), dims, rotations[:stop].tolist())
     ]
-    if fault is not None:
-        raise ValidationError(fault)
-    return moved
+    return moved, fault
 
 
 @dataclass(frozen=True)

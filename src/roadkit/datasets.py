@@ -15,7 +15,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .formats import AnnotationRecord, DatasetManifest, Occlusion
+from .formats import AnnotationRecord, DatasetManifest, Occlusion, _is_number, _is_whole
 
 TRAIN = "train"
 TEST = "test"
@@ -91,13 +91,16 @@ class SplitSpec:
     def from_json(cls, text: str) -> "SplitSpec":
         try:
             doc = json.loads(text)
-            return cls(
-                train_fraction=float(doc["fraction"]),
-                seed=int(doc["seed"]),
-                assignment=tuple(sorted(doc["assignment"].items())),
-            )
+            fraction, seed, assignment = doc["fraction"], doc["seed"], doc["assignment"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SchemaError(f"malformed split document: {exc}") from exc
+        if not (_is_number(fraction) and 0.0 < fraction < 1.0):
+            raise SchemaError(f"malformed split document: fraction {fraction!r} is not a number in (0, 1)")
+        if not _is_whole(seed):
+            raise SchemaError(f"malformed split document: seed {seed!r} is not a whole number")
+        if not (isinstance(assignment, dict) and all(part in (TRAIN, TEST) for part in assignment.values())):
+            raise SchemaError(f"malformed split document: assignment must map frame ids to {TRAIN!r} or {TEST!r}")
+        return cls(train_fraction=float(fraction), seed=int(seed), assignment=tuple(sorted(assignment.items())))
 
 
 def _train_count(fraction: float, n: int) -> int:
@@ -218,14 +221,22 @@ class ExperimentPlan:
     def from_json(cls, text: str) -> "ExperimentPlan":
         try:
             doc = json.loads(text)
-            return cls(
-                pretrain_set=doc["pretrain"],
-                finetune_chain=tuple(doc["finetune_chain"]),
-                eval_set=doc["eval"],
-                training_metadata=tuple(doc.get("training_metadata", {}).items()),
-            )
+            pretrain, chain, eval_set = doc["pretrain"], doc["finetune_chain"], doc["eval"]
+            metadata = doc.get("training_metadata", {})
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise SchemaError(f"malformed plan document: {exc}") from exc
+        if not ((pretrain is None or isinstance(pretrain, str)) and isinstance(eval_set, str)):
+            raise SchemaError("malformed plan document: pretrain must be a name or null, and eval a name")
+        if not (isinstance(chain, list) and all(isinstance(name, str) for name in chain)):
+            raise SchemaError(f"malformed plan document: finetune_chain {chain!r} is not a list of names")
+        if not isinstance(metadata, dict):
+            raise SchemaError(f"malformed plan document: training_metadata {metadata!r} is not an object")
+        return cls(
+            pretrain_set=pretrain,
+            finetune_chain=tuple(chain),
+            eval_set=eval_set,
+            training_metadata=tuple(metadata.items()),
+        )
 
 
 def build_experiment_plan(

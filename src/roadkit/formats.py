@@ -83,9 +83,9 @@ class DetectionRecord(AnnotationRecord):
 
 
 def _with_fields(record: AnnotationRecord, **changes) -> AnnotationRecord:
-    """dataclasses.replace for box3d and frame_id, which __post_init__ does not
-    check: the record's other fields were checked when it was built, and are
-    copied without checking them again."""
+    """dataclasses.replace for class_name, box3d and frame_id, which
+    __post_init__ does not check: the record's other fields were checked when
+    it was built, and are copied without checking them again."""
     new = object.__new__(type(record))
     new.__dict__.update(record.__dict__, **changes)
     return new
@@ -234,52 +234,60 @@ def _write_kitti_line(record: AnnotationRecord) -> str:
 # --------------------------------------------------------------------------
 # JSON record schema (shared by manifests and the manifest_json label format)
 
-def _annotation_to_dict(record: AnnotationRecord) -> dict:
-    box = record.box3d
-    out = {
-        "class_name": record.class_name,
-        "truncation": record.truncation,
-        "occlusion": int(record.occlusion),
-        "box2d": list(record.box2d) if record.box2d is not None else None,
-        "box3d": {
-            "center": list(box.center),
-            "dims": list(box.dims),
-            "yaw": box.orientation.yaw,
-            "pitch": box.orientation.pitch,
-            "roll": box.orientation.roll,
-        },
-    }
-    if isinstance(record, DetectionRecord):
-        out["score"] = record.score
-    return out
+# A JSON number is an int or a float, not a bool or a string.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _is_number(value) -> bool:
+    return type(value) in _NUMBER_TYPES
+
+
+def _is_whole(value) -> bool:
+    """A JSON number with no fractional part: an int, or a float that is neither NaN nor infinite."""
+    return _is_number(value) and (type(value) is int or value.is_integer())
+
+
+def _number(value, field: str):
+    if not _is_number(value):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _numbers(values, field: str) -> tuple:
+    values = tuple(values)
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ValueError(f"{field} must hold numbers, got {list(values)!r}")
+    return values
 
 
 def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
-    # ValueError and OverflowError come from float(), int() and Occlusion() of
-    # a value of the wrong kind: a string, an Infinity, an unknown level or a
-    # fractional occlusion.
+    # A value of the wrong kind is a KeyError, TypeError, ValueError or
+    # OverflowError: a missing key, a string or bool where a number belongs,
+    # an unknown or fractional occlusion level, or an int too large to be a
+    # float.
     try:
         box = obj["box3d"]
         box3d = Box3D(
-            center=tuple(box["center"]),
-            dims=tuple(box["dims"]),
+            center=_numbers(box["center"], "center"),
+            dims=_numbers(box["dims"], "dims"),
             orientation=EulerOrientation(
-                box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0)
+                *_numbers((box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0)), "yaw, pitch, roll")
             ),
         )
         occlusion = obj.get("occlusion", 0)
-        if type(occlusion) is float and not occlusion.is_integer():
+        if not _is_whole(occlusion):
             raise ValueError(f"occlusion {occlusion!r} is not a whole number")
+        box2d = obj.get("box2d")
         kwargs = dict(
             class_name=obj["class_name"],
-            truncation=float(obj.get("truncation", 0.0)),
+            truncation=float(_number(obj.get("truncation", 0.0), "truncation")),
             occlusion=Occlusion(int(occlusion)),
-            box2d=tuple(obj["box2d"]) if obj.get("box2d") is not None else None,
+            box2d=_numbers(box2d, "box2d") if box2d is not None else None,
             box3d=box3d,
             frame_id=obj.get("frame_id", frame_id),
         )
         if "score" in obj:
-            return DetectionRecord(score=float(obj["score"]), **kwargs)
+            return DetectionRecord(score=float(_number(obj["score"], "score")), **kwargs)
         return AnnotationRecord(**kwargs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
@@ -304,7 +312,7 @@ def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
         for frame in manifest.frames:
             for ann in frame.annotations:
                 if ann.frame_id != frame.frame_id:
-                    ann = _annotation_from_dict(_annotation_to_dict(ann), frame.frame_id)
+                    ann = _with_fields(ann, frame_id=frame.frame_id)
                 out.append(ann)
         return out
     raise ValidationError(f"unknown label format {fmt!r}")
@@ -344,8 +352,8 @@ def load_manifest(text: str) -> DatasetManifest:
         try:
             frame_id = fobj["frame_id"]
             image_size = tuple(fobj.get("image_size", (0, 0)))
-            if any(type(v) is float and not v.is_integer() for v in image_size):
-                raise SchemaError(f"image_size {list(image_size)!r} of frame {frame_id!r} must hold whole numbers")
+            if not all(map(_is_whole, image_size)):
+                raise ValueError(f"image_size {list(image_size)!r} of frame {frame_id!r} must hold whole numbers")
             annotations = tuple(
                 _annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
             )
@@ -487,9 +495,7 @@ class CalibrationSet:
 
 def _is_pixel_count(value) -> bool:
     """A positive whole number, as JSON gives it: an int or an integral float."""
-    if type(value) is float:
-        return value > 0.0 and value.is_integer()
-    return type(value) is int and value > 0
+    return _is_whole(value) and value > 0
 
 
 def parse_calibration(text: str) -> CalibrationSet:
@@ -599,9 +605,7 @@ def remap_classes(
             if target is None:
                 dropped += 1
                 continue
-            obj = _annotation_to_dict(ann)
-            obj["class_name"] = target
-            kept.append(_annotation_from_dict(obj, frame.frame_id))
+            kept.append(_with_fields(ann, class_name=target, frame_id=frame.frame_id))
         frames.append(
             FrameRecord(
                 frame_id=frame.frame_id,

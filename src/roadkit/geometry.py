@@ -52,24 +52,9 @@ class EulerOrientation:
         return (self.yaw, self.pitch, self.roll)
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rotation_from_euler(orientation: EulerOrientation) -> np.ndarray:
-    """Build the 3x3 rotation matrix R_y(yaw) @ R_x(pitch) @ R_z(roll)."""
-    return rot_y(orientation.yaw) @ rot_x(orientation.pitch) @ rot_z(orientation.roll)
+    """Build the 3x3 rotation matrix R_y(yaw) @ R_x(pitch) @ R_z(roll): a one-matrix _rotations call."""
+    return _rotations([orientation.as_tuple()])[0]
 
 
 def euler_from_rotation(matrix: np.ndarray) -> EulerOrientation:
@@ -107,20 +92,18 @@ def validate_rotation(matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     m = np.asarray(matrix, dtype=float)
     if m.shape != (3, 3):
         raise ValidationError(f"rotation matrix must be 3x3, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValidationError("rotation matrix holds non-finite entries")
-    if np.abs(m.T @ m - _EYE3).max() > tol:
-        raise ValidationError("rotation matrix is not orthonormal")
-    if abs(np.linalg.det(m) - 1.0) > tol:
-        raise ValidationError("rotation matrix determinant is not +1")
+    _, fault = _first_invalid_rotation(m[None], tol)
+    if fault is not None:
+        raise ValidationError(fault)
     return m
 
 
 def _first_invalid_rotation(matrices: np.ndarray, tol: float = 1e-6) -> tuple[int, str | None]:
-    """validate_rotation over a (N, 3, 3) stack in one pass.
+    """The checks of validate_rotation over a (N, 3, 3) stack in one pass.
 
-    Returns the index of the first matrix it rejects with the message it
-    raises for that matrix, or (N, None) when every matrix passes.
+    Returns the index of the first matrix it rejects with the reason, or
+    (N, None) when every matrix passes. A one-matrix stack goes through the
+    same matmul and det loops as the 2-D m.T @ m and det(m), with their bits.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(matrices).all(axis=(1, 2))
@@ -381,7 +364,11 @@ def _intersection_volumes(a: tuple, b: tuple) -> np.ndarray:
 
 
 def _rotations(angles: Sequence[tuple[float, float, float]]) -> np.ndarray:
-    """rotation_from_euler of each (yaw, pitch, roll), as one stacked product."""
+    """R_y(yaw) @ R_x(pitch) @ R_z(roll) of each (yaw, pitch, roll), shape (N, 3, 3).
+
+    Each row goes through the same matmul loop as a one-row call, and a
+    one-row call gives the bits of the 2-D product of the three factors.
+    """
     product = None
     for k, axis in enumerate((1, 0, 2)):  # R_y(yaw) @ R_x(pitch) @ R_z(roll)
         p, q = (axis + 1) % 3, (axis + 2) % 3

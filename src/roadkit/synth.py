@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, RigidTransform, _project_boxes
+from .camera import Intrinsics, RigidTransform, _move_boxes, _project_boxes
 from .errors import GenerationError, ValidationError
 from .formats import (
     AnnotationRecord,
@@ -23,13 +23,7 @@ from .formats import (
     FrameRecord,
     Occlusion,
 )
-from .geometry import (
-    Box3D,
-    EulerOrientation,
-    _euler_angles,
-    _first_invalid_rotation,
-    normalize_angle,
-)
+from .geometry import Box3D, EulerOrientation, normalize_angle
 
 # Nominal (h, w, l) per class, meters.
 NOMINAL_DIMS = {
@@ -208,13 +202,7 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
             distance * np.array([math.sin(b) for b in bearing]),
             dims[:, 0] / 2.0,
         ])
-        centers = np.matmul(centers[:, None, :], extrinsics.rotation.T)[:, 0] + extrinsics.translation
-        rotations = np.matmul(extrinsics.rotation, _world_box_rotations(draws[:, 6].tolist()))
-        stop, fault = _first_invalid_rotation(rotations)
-        boxes = [
-            Box3D(center=center, dims=size, orientation=EulerOrientation(*_euler_angles(rot)))
-            for center, size, rot in zip(centers[:stop].tolist(), dims.tolist(), rotations[:stop].tolist())
-        ]
+        boxes, fault = _move_boxes(extrinsics, centers, dims.tolist(), _world_box_rotations(draws[:, 6].tolist()))
         for kind, box, projected in zip(kinds.tolist(), boxes, _project_boxes(intrinsics, boxes)):
             if not projected.visible:
                 misses += 1

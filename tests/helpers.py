@@ -26,6 +26,7 @@ from roadkit.formats import (
     DetectionRecord,
     FrameRecord,
     Occlusion,
+    _annotation_from_dict,
 )
 from roadkit.geometry import (
     _PARALLEL_EPS,
@@ -38,8 +39,6 @@ from roadkit.geometry import (
     box_corners,
     euler_from_rotation,
     iou3d,
-    rotation_from_euler,
-    validate_rotation,
     _dot,
 )
 
@@ -62,7 +61,7 @@ def random_box(
 
 
 def point_in_box_mask(box: Box3D, points: np.ndarray) -> np.ndarray:
-    rot = rotation_from_euler(box.orientation)
+    rot = reference_rotation_from_euler(box.orientation)
     local = (points - np.asarray(box.center)) @ rot
     h, w, l = box.dims
     half = np.array([w, h, l]) / 2.0
@@ -279,7 +278,7 @@ def reference_intersection_volume(a: Box3D, b: Box3D) -> float:
     if np.any(ca.min(axis=0) > cb.max(axis=0)) or np.any(cb.min(axis=0) > ca.max(axis=0)):
         return 0.0
     poly: ConvexPolytope | None = ConvexPolytope.from_box(a)
-    rot = rotation_from_euler(b.orientation)
+    rot = reference_rotation_from_euler(b.orientation)
     center = np.asarray(b.center)
     h, w, l = b.dims
     half_extents = (w * 0.5, h * 0.5, l * 0.5)  # local x, y, z
@@ -391,15 +390,42 @@ def _face_areas(uv, member, width, coords, feasible, half):
     return _cumsum_total(area * height) / 3.0
 
 
-def euler_matrix_oracle(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Independent factor-matrix product for the Y(yaw) X(pitch) Z(roll) convention."""
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rx = np.array([[1, 0, 0], [0, cp, -sp], [0, sp, cp]])
-    rz = np.array([[cr, -sr, 0], [sr, cr, 0], [0, 0, 1]])
-    return ry @ rx @ rz
+# ---------------------------------------------------------------------------
+# Reference rotation builder and check, one 2-D matrix at a time: three
+# factor matrices and their product, and m.T @ m and det(m) of one matrix.
+
+def rot_x(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rot_y(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def rot_z(angle: float) -> np.ndarray:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def reference_rotation_from_euler(orientation: EulerOrientation) -> np.ndarray:
+    """rotation_from_euler as the 2-D product R_y(yaw) @ R_x(pitch) @ R_z(roll)."""
+    return rot_y(orientation.yaw) @ rot_x(orientation.pitch) @ rot_z(orientation.roll)
+
+
+def reference_validate_rotation(matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """validate_rotation with its checks and messages written out for one matrix."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (3, 3):
+        raise ValidationError(f"rotation matrix must be 3x3, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("rotation matrix holds non-finite entries")
+    if np.abs(m.T @ m - np.eye(3)).max() > tol:
+        raise ValidationError("rotation matrix is not orthonormal")
+    if abs(np.linalg.det(m) - 1.0) > tol:
+        raise ValidationError("rotation matrix determinant is not +1")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +629,28 @@ def make_detection(score=1.0, **kwargs) -> DetectionRecord:
     )
 
 
+def reference_copy_record(record: AnnotationRecord, frame_id: str, class_name: str | None = None) -> AnnotationRecord:
+    """A record with a new frame_id (and class_name) through a JSON object
+    round trip: the record as the manifest schema writes it, loaded again."""
+    box = record.box3d
+    obj = {
+        "class_name": record.class_name if class_name is None else class_name,
+        "truncation": record.truncation,
+        "occlusion": int(record.occlusion),
+        "box2d": list(record.box2d) if record.box2d is not None else None,
+        "box3d": {
+            "center": list(box.center),
+            "dims": list(box.dims),
+            "yaw": box.orientation.yaw,
+            "pitch": box.orientation.pitch,
+            "roll": box.orientation.roll,
+        },
+    }
+    if isinstance(record, DetectionRecord):
+        obj["score"] = record.score
+    return _annotation_from_dict(obj, frame_id)
+
+
 def reference_dump_manifest(manifest: DatasetManifest) -> str:
     """The manifest document through json.dumps(indent=2, sort_keys=True)."""
     frames = []
@@ -684,7 +732,7 @@ def reference_normalize_angle(angle: float) -> float:
 
 def _reference_euler(matrix: np.ndarray) -> EulerOrientation:
     """euler_from_rotation, indexing the validated ndarray per entry."""
-    m = validate_rotation(matrix)
+    m = reference_validate_rotation(matrix)
     sp = -m[1, 2]
     sp = min(1.0, max(-1.0, sp))
     pitch = math.asin(sp)
@@ -710,7 +758,7 @@ def reference_transform_box(
             f"{extrinsics.source_frame!r}"
         )
     center = extrinsics.apply(np.asarray(box.center))
-    rot = extrinsics.rotation @ rotation_from_euler(box.orientation)
+    rot = extrinsics.rotation @ reference_rotation_from_euler(box.orientation)
     return Box3D(center=tuple(center), dims=box.dims, orientation=_reference_euler(rot))
 
 
@@ -796,7 +844,7 @@ def reference_box_corners(box: Box3D) -> np.ndarray:
     """box_corners of one box: signed half extents through its rebuilt rotation."""
     h, w, l = box.dims
     local = _CORNER_SIGNS * (np.array([w, h, l]) * 0.5)
-    rot = rotation_from_euler(box.orientation)
+    rot = reference_rotation_from_euler(box.orientation)
     return np.asarray(box.center) + local @ rot.T
 
 

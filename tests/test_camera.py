@@ -19,9 +19,7 @@ from roadkit.geometry import (
     EulerOrientation,
     _first_invalid_rotation,
     box_corners,
-    rot_y,
     rotation_from_euler,
-    validate_rotation,
 )
 
 from helpers import (
@@ -29,6 +27,8 @@ from helpers import (
     reference_box_corners,
     reference_project_box,
     reference_transform_box,
+    reference_validate_rotation,
+    rot_y,
 )
 
 
@@ -316,7 +316,7 @@ class TestTransformBoxes:
         reflected = good @ np.diag([1.0, 1.0, -1.0])
         for faulty in (non_finite, skewed, reflected, np.full((3, 3), np.inf)):
             with pytest.raises(ValidationError) as expected:
-                validate_rotation(faulty)
+                reference_validate_rotation(faulty)
             stack = np.stack([good, good, faulty, skewed, good])
             assert _first_invalid_rotation(stack) == (2, str(expected.value))
         assert _first_invalid_rotation(np.stack([good, good])) == (2, None)

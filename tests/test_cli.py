@@ -127,7 +127,9 @@ class TestStatsCommand:
         assert doc["boxes"] == sum(doc["per_class"].values())
         assert doc["resolutions"] == [[1920, 1080]]
 
-    @pytest.mark.parametrize("field, value", [("occlusion", 7), ("truncation", "abc")])
+    @pytest.mark.parametrize(
+        "field, value", [("occlusion", 7), ("truncation", "abc"), ("occlusion", "2"), ("truncation", True)]
+    )
     def test_bad_annotation_value_exits_1(self, corpus, tmp_path, capsys, field, value):
         doc = json.loads((corpus / "manifest.json").read_text())
         doc["frames"][2]["annotations"][0][field] = value
@@ -137,6 +139,21 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
         assert repr(doc["frames"][2]["frame_id"]) in err
+
+    @pytest.mark.parametrize("field, value", [("image_size", ["1920", True]), ("center", "123"), ("dims", [True, 1, 1])])
+    def test_non_number_frame_or_box_value_exits_1(self, corpus, tmp_path, capsys, field, value):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        frame = doc["frames"][2]
+        if field == "image_size":
+            frame[field] = value
+        else:
+            frame["annotations"][0]["box3d"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", "--manifest", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and len(err.splitlines()) == 1
+        assert repr(frame["frame_id"]) in err
 
 
 class TestSplitCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -129,6 +130,40 @@ class TestMakeSplit:
         with pytest.raises(SchemaError):
             SplitSpec.from_json("not json")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fraction", "0.5"),
+            ("fraction", "abc"),
+            ("fraction", True),
+            ("fraction", 0.0),
+            ("fraction", 1.0),
+            ("fraction", float("nan")),
+            ("seed", 1.7),
+            ("seed", "9"),
+            ("seed", True),
+            ("seed", None),
+            ("assignment", [["f0", "train"]]),
+            ("assignment", {"f0": "banana"}),
+            ("assignment", {"f0": ["train"]}),
+        ],
+    )
+    def test_from_json_rejects_wrong_kinds(self, field, value):
+        doc = json.loads(make_split(make_manifest(10), 0.6, seed=11).to_json())
+        doc[field] = value
+        with pytest.raises(SchemaError, match="malformed split document"):
+            SplitSpec.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    def test_every_written_split_loads_equal(self, stratify):
+        for n, fraction, seed in ((1, 0.5, 0), (7, 0.01, 2**64 - 1), (30, 0.99, 5), (13, 0.6, -3)):
+            manifest = make_manifest(n, calib_groups=3)
+            spec = make_split(manifest, fraction, seed, stratify_by_calibration=stratify)
+            again = SplitSpec.from_json(spec.to_json())
+            assert again == SplitSpec(fraction, seed, tuple(sorted(spec.assignment)))
+            assert type(again.train_fraction) is float and type(again.seed) is int
+            assert SplitSpec.from_json(again.to_json()) == again
+
 
 class TestDifficulty:
     def test_fully_visible_tall_box_is_easy(self):
@@ -241,3 +276,29 @@ class TestExperimentPlan:
     def test_from_json_rejects_malformed(self):
         with pytest.raises(SchemaError):
             ExperimentPlan.from_json("{}")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("training_metadata", [["iterations", 1]]),
+            ("training_metadata", "lr=0.1"),
+            ("finetune_chain", "dataset-b"),
+            ("finetune_chain", [1, 2]),
+            ("pretrain", 5),
+            ("eval", None),
+            ("eval", ["target"]),
+        ],
+    )
+    def test_from_json_rejects_wrong_kinds(self, field, value):
+        plan = build_experiment_plan("dataset-a", ("dataset-b",), "target", self.REGISTRY, {"lr": 0.1})
+        doc = json.loads(plan.to_json())
+        doc[field] = value
+        with pytest.raises(SchemaError, match="malformed plan document"):
+            ExperimentPlan.from_json(json.dumps(doc))
+
+    def test_scratch_plan_without_metadata_round_trips(self):
+        plan = build_experiment_plan(None, (), "target", self.REGISTRY)
+        assert ExperimentPlan.from_json(plan.to_json()) == plan
+        doc = json.loads(plan.to_json())
+        del doc["training_metadata"]
+        assert ExperimentPlan.from_json(json.dumps(doc)) == plan

@@ -37,6 +37,7 @@ from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 from helpers import (
     make_annotation,
     make_detection,
+    reference_copy_record,
     reference_dump_manifest,
     reference_kitti_line,
     reference_parse_kitti_line,
@@ -477,6 +478,59 @@ class TestManifestJson:
         assert frame.image_size == (1920, 1080) and all(type(v) is int for v in frame.image_size)
         assert frame.annotations[0].occlusion is Occlusion.PARTLY
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("image_size",), ["1920", True]),
+            (("image_size",), [True, 1080]),
+            (("image_size",), "12"),
+            (("annotations", 0, "occlusion"), "2"),
+            (("annotations", 0, "occlusion"), True),
+            (("annotations", 0, "truncation"), "0.5"),
+            (("annotations", 0, "truncation"), True),
+            (("annotations", 0, "score"), "0.5"),
+            (("annotations", 0, "score"), False),
+            (("annotations", 0, "box2d"), [1, 2, 3, "4"]),
+            (("annotations", 0, "box2d"), "1234"),
+            (("annotations", 0, "box3d", "yaw"), "0.3"),
+            (("annotations", 0, "box3d", "pitch"), True),
+            (("annotations", 0, "box3d", "dims"), [True, 1, 1]),
+            (("annotations", 0, "box3d", "center"), "123"),
+            (("annotations", 0, "box3d", "center"), [0, None, 10]),
+        ],
+        ids=lambda x: json.dumps(x[-1] if isinstance(x, tuple) else x),
+    )
+    def test_non_number_names_frame(self, path, value):
+        annotation = {"class_name": "Car", "box3d": {"center": [0, 0, 10], "dims": [1, 2, 3]}, "score": 0.5}
+        frame = {"frame_id": "f7", "image_size": [1920, 1080], "annotations": [annotation]}
+        *parents, key = path
+        target = frame
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        doc = {"class_taxonomy": ["Car"], "frames": [{"frame_id": "f0"}, frame]}
+        with pytest.raises(SchemaError, match="frame 'f7'"):
+            load_manifest(json.dumps(doc))
+
+    def test_annotation_naming_another_frame_copies_like_round_trip(self):
+        rng = np.random.default_rng(41)
+        records = [random_record(rng, with_score=i % 2 == 0, frame_id=f"f{i % 4}") for i in range(40)]
+        doc = json.loads(write_labels(records, "manifest_json"))
+        for frame in doc["frames"]:
+            for k, annotation in enumerate(frame["annotations"]):
+                if k % 3 != 2:
+                    annotation["frame_id"] = [f"elsewhere-{k}", 7, None][k % 3]
+        text = json.dumps(doc)
+        expected = [
+            reference_copy_record(ann, frame.frame_id) if ann.frame_id != frame.frame_id else ann
+            for frame in load_manifest(text).frames
+            for ann in frame.annotations
+        ]
+        got = parse_labels(text, "manifest_json")
+        assert got == expected
+        assert [type(r) for r in got] == [type(r) for r in expected]
+        assert {r.frame_id for r in got} == {"f0", "f1", "f2", "f3"}
+
     @pytest.mark.parametrize("frames", [5, "abc", {"frame_id": "f"}])
     def test_frames_must_be_a_list(self, frames):
         with pytest.raises(SchemaError):
@@ -721,6 +775,33 @@ class TestStatsAndRemap:
         assert stats.boxes == 3
         assert dict(stats.per_class) == {"Car": 2, "Truck": 1}
         assert stats.resolutions == ((1280, 720), (1920, 1080))
+
+    def test_remap_copies_like_round_trip(self):
+        rng = np.random.default_rng(42)
+        frames = [
+            FrameRecord(
+                frame_id=f"f{i}",
+                annotations=tuple(
+                    random_record(rng, with_score=(i + k) % 2 == 0, frame_id=f"f{i}" if k % 3 else "other")
+                    for k in range(6)
+                ),
+            )
+            for i in range(40)
+        ]
+        manifest = DatasetManifest(name="d", class_taxonomy=("Bus", "Car", "Pedestrian", "Truck"), frames=frames)
+        mapping = {"Car": "Vehicle", "Truck": "Vehicle", "Bus": "Large"}
+        remapped, dropped = remap_classes(manifest, mapping)
+        expected = [
+            reference_copy_record(ann, frame.frame_id, mapping[ann.class_name])
+            for frame in manifest.frames
+            for ann in frame.annotations
+            if ann.class_name in mapping
+        ]
+        got = [ann for frame in remapped.frames for ann in frame.annotations]
+        assert dropped == 240 - len(expected) > 0
+        assert got == expected
+        assert [type(r) for r in got] == [type(r) for r in expected]
+        assert {type(r) for r in got} == {AnnotationRecord, DetectionRecord}
 
     def test_remap_renames_and_drops(self):
         remapped, dropped = remap_classes(self.make_manifest(), {"Car": "Vehicle"})

@@ -16,9 +16,6 @@ from roadkit.geometry import (
     iou3d,
     iou3d_matrix,
     normalize_angle,
-    rot_x,
-    rot_y,
-    rot_z,
     rotation_from_euler,
     validate_rotation,
 )
@@ -29,7 +26,6 @@ from roadkit.geometry import (
 
 from helpers import (
     ConvexPolytope,
-    euler_matrix_oracle,
     monte_carlo_intersection,
     padded_intersection_volumes,
     random_box,
@@ -37,6 +33,11 @@ from helpers import (
     reference_box_corners,
     reference_intersection_volume,
     reference_normalize_angle,
+    reference_rotation_from_euler,
+    reference_validate_rotation,
+    rot_x,
+    rot_y,
+    rot_z,
     triple_intersection_volumes,
 )
 
@@ -79,16 +80,28 @@ class TestRotations:
     def test_factor_matrices(self):
         a = 0.37
         c, s = math.cos(a), math.sin(a)
-        np.testing.assert_allclose(rot_x(a), [[1, 0, 0], [0, c, -s], [0, s, c]], atol=1e-15)
-        np.testing.assert_allclose(rot_y(a), [[c, 0, s], [0, 1, 0], [-s, 0, c]], atol=1e-15)
-        np.testing.assert_allclose(rot_z(a), [[c, -s, 0], [s, c, 0], [0, 0, 1]], atol=1e-15)
+        pitch, yaw, roll = (rotation_from_euler(EulerOrientation(**{name: a})) for name in ("pitch", "yaw", "roll"))
+        np.testing.assert_allclose(pitch, [[1, 0, 0], [0, c, -s], [0, s, c]], atol=1e-15)
+        np.testing.assert_allclose(yaw, [[c, 0, s], [0, 1, 0], [-s, 0, c]], atol=1e-15)
+        np.testing.assert_allclose(roll, [[c, -s, 0], [s, c, 0], [0, 0, 1]], atol=1e-15)
+
+    def test_rotation_from_euler_equals_factor_product_bytes(self):
+        # The one-matrix stacked product against the 2-D product of the three
+        # factors, on random angles and on every triple of 0, +-pi/2 and pi.
+        rng = np.random.default_rng(31)
+        special = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi)
+        angles = [tuple(a) for a in rng.uniform(-math.pi, math.pi, (20_000, 3))]
+        angles += list(itertools.product(special, repeat=3))
+        for triple in angles:
+            o = EulerOrientation(*triple)
+            assert rotation_from_euler(o).tobytes() == reference_rotation_from_euler(o).tobytes()
 
     def test_composition_matches_factor_product_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             yaw, pitch, roll = rng.uniform(-math.pi, math.pi, 3)
             got = rotation_from_euler(EulerOrientation(yaw, pitch, roll))
-            np.testing.assert_allclose(got, euler_matrix_oracle(yaw, pitch, roll), atol=1e-12)
+            np.testing.assert_allclose(got, rot_y(yaw) @ rot_x(pitch) @ rot_z(roll), atol=1e-12)
 
     def test_yaw_only_rotates_forward_axis(self):
         r = rotation_from_euler(EulerOrientation(yaw=math.pi / 2))
@@ -137,6 +150,43 @@ class TestRotations:
     def test_validate_rotation_accepts_valid(self):
         r = rotation_from_euler(EulerOrientation(0.3, -0.2, 1.7))
         np.testing.assert_array_equal(validate_rotation(r), r)
+
+    @staticmethod
+    def verdict(check, matrix, **kwargs):
+        """The bytes check returns, or the type and message of what it raises."""
+        try:
+            return check(matrix, **kwargs).tobytes()
+        except ValidationError as exc:
+            return type(exc), str(exc)
+
+    def test_validate_rotation_matches_one_matrix_reference(self):
+        good = reference_rotation_from_euler(EulerOrientation(0.3, -0.2, 1.1))
+        non_finite = good.copy()
+        non_finite[1, 2] = np.nan
+        cases = [
+            good, good.T, good.tolist(), np.eye(3), non_finite, np.full((3, 3), np.inf), good * 1.01,
+            good @ np.diag([1.0, 1.0, -1.0]), np.eye(3) * 2.0, np.eye(2), np.zeros((3, 4)), np.zeros(9),
+        ]
+        for matrix in cases:
+            assert self.verdict(validate_rotation, matrix) == self.verdict(reference_validate_rotation, matrix)
+
+    def test_validate_rotation_near_tolerance_matches_reference(self):
+        # Perturbations of sigma 3e-7 put the residual and determinant near the
+        # 1e-6 bound, so both verdicts occur; the tolerance is passed through.
+        rng = np.random.default_rng(33)
+        verdicts = set()
+        for _ in range(3_000):
+            m = reference_rotation_from_euler(EulerOrientation(*rng.uniform(-math.pi, math.pi, 3)))
+            m = m + rng.normal(0.0, 3e-7, (3, 3))
+            for kwargs in ({}, {"tol": 2e-6}, {"tol": 5e-7}):
+                got = self.verdict(validate_rotation, m, **kwargs)
+                assert got == self.verdict(reference_validate_rotation, m, **kwargs)
+                verdicts.add(got if isinstance(got, tuple) else "passed")
+        assert verdicts == {
+            "passed",
+            (ValidationError, "rotation matrix is not orthonormal"),
+            (ValidationError, "rotation matrix determinant is not +1"),
+        }
 
 
 class TestBox3D:

@@ -10,7 +10,7 @@ from roadkit.camera import ProjectedBox, project_box
 from roadkit.errors import GenerationError, ValidationError
 from roadkit.evaluation import evaluate
 from roadkit.formats import DatasetManifest, Occlusion, dump_calibration, dump_manifest
-from roadkit.geometry import box_corners, rot_z, rotation_from_euler
+from roadkit.geometry import box_corners, rotation_from_euler
 from roadkit.synth import (
     NOMINAL_DIMS,
     TIME_TAGS,
@@ -25,7 +25,7 @@ from roadkit.synth import (
     generate_scene,
 )
 
-from helpers import reference_generate_scene
+from helpers import reference_generate_scene, rot_z
 
 
 SMALL = SceneConfig(objects_per_frame=(3, 8))
