@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,13 +53,6 @@ class Intrinsics:
             ]
         )
 
-    @cached_property
-    def _matrix_t(self) -> np.ndarray:
-        """K transposed, built once per instance for project_box."""
-        k = self.matrix
-        k.setflags(write=False)
-        return k.T
-
     @classmethod
     def from_matrix(cls, k: np.ndarray, image_size: tuple[int, int]) -> "Intrinsics":
         k = np.asarray(k, dtype=float)
@@ -108,7 +100,7 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform one point (3,) or many points (N, 3)."""
+        """Transform one point (3,), or points stacked along any leading axes (..., 3)."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
@@ -215,12 +207,13 @@ def _move_boxes(
     """Move boxes, given as (N, 3) centers, (h, w, l) rows and (N, 3, 3)
     rotations, into the transform's target frame with the bits of one box at a time.
 
-    Each center goes through the same 1x3 row product as extrinsics.apply,
-    and each rotation through the same 3x3 product. Returns the boxes before
-    the first moved rotation validate_rotation would reject, and that
-    rejection's message, or None when it rejects none.
+    Each center goes through extrinsics.apply as a stacked 1x3 row, which
+    gets the bits of one point, and each rotation through the same 3x3
+    product. Returns the boxes before the first moved rotation
+    validate_rotation would reject, and that rejection's message, or None
+    when it rejects none.
     """
-    centers = np.matmul(centers[:, None, :], extrinsics.rotation.T)[:, 0] + extrinsics.translation
+    centers = extrinsics.apply(centers[:, None, :])[:, 0]
     rotations = np.matmul(extrinsics.rotation, rotations)
     stop, fault = _first_invalid_rotation(rotations)
     moved = [
@@ -272,13 +265,14 @@ def _project_boxes(
     """
     cam = _corners(*_box_arrays(boxes))
     if extrinsics is not None:
-        cam = np.matmul(cam, extrinsics.rotation.T) + extrinsics.translation
+        cam = extrinsics.apply(cam)
     front = cam[..., 2] > BEHIND_CAMERA_EPS
-    uv = np.matmul(cam, intrinsics._matrix_t)
+    k_t = intrinsics.matrix.T
+    uv = np.matmul(cam, k_t)
     lone = np.flatnonzero(np.count_nonzero(front, axis=1) == 1)
     if lone.size:
         corner = np.argmax(front[lone], axis=1)
-        uv[lone, corner] = np.matmul(cam[lone, corner][:, None], intrinsics._matrix_t)[:, 0]
+        uv[lone, corner] = np.matmul(cam[lone, corner][:, None], k_t)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         uv = uv[..., :2] / cam[..., 2:]
     lo = np.where(front[..., None], uv, np.inf).min(axis=1).tolist()

@@ -115,37 +115,31 @@ def make_split(
 ) -> SplitSpec:
     """Deterministically partition a manifest's frames into train and test.
 
-    Frames are shuffled by a Fisher-Yates pass over splitmix64 and the first
-    round(train_fraction * N) go to train. With stratify_by_calibration the
-    split is balanced within each calibration_ref group (per-group quotas
-    allocated by largest remainder so the global count is unchanged).
+    The frames are shuffled by a Fisher-Yates pass over splitmix64 and the
+    first round(train_fraction * N) go to train. With stratify_by_calibration
+    each calibration_ref group is shuffled on its own and gets a quota,
+    allocated by largest remainder so the global count is unchanged; without
+    it all frames form one group, shuffled with the seed itself.
     """
     if not manifest.frames:
         raise EmptyInputError("cannot split an empty manifest")
     if not (0.0 < train_fraction < 1.0):
         raise ValidationError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(manifest.frames)
-    total_train = _train_count(train_fraction, n)
+    groups: dict[str | None, list[str]] = {}
+    for f in manifest.frames:
+        groups.setdefault(f.calibration_ref if stratify_by_calibration else None, []).append(f.frame_id)
+    keys = sorted(groups)
+    quotas = {k: train_fraction * len(groups[k]) for k in keys}
+    base = {k: int(math.floor(quotas[k])) for k in keys}
+    remaining = _train_count(train_fraction, len(manifest.frames)) - sum(base.values())
+    by_remainder = sorted(keys, key=lambda k: (-(quotas[k] - base[k]), k))
+    for k in by_remainder[:remaining]:
+        base[k] += 1
     assignment: dict[str, str] = {}
-    if not stratify_by_calibration:
-        order = _fisher_yates([f.frame_id for f in manifest.frames], seed)
+    for k in keys:
+        order = _fisher_yates(groups[k], seed if k is None else seed ^ _fnv1a64(k))
         for i, fid in enumerate(order):
-            assignment[fid] = TRAIN if i < total_train else TEST
-    else:
-        groups: dict[str, list[str]] = {}
-        for f in manifest.frames:
-            groups.setdefault(f.calibration_ref, []).append(f.frame_id)
-        keys = sorted(groups)
-        quotas = {k: train_fraction * len(groups[k]) for k in keys}
-        base = {k: int(math.floor(quotas[k])) for k in keys}
-        remaining = total_train - sum(base.values())
-        by_remainder = sorted(keys, key=lambda k: (-(quotas[k] - base[k]), k))
-        for k in by_remainder[:remaining]:
-            base[k] += 1
-        for k in keys:
-            order = _fisher_yates(groups[k], seed ^ _fnv1a64(k))
-            for i, fid in enumerate(order):
-                assignment[fid] = TRAIN if i < base[k] else TEST
+            assignment[fid] = TRAIN if i < base[k] else TEST
     pairs = tuple((f.frame_id, assignment[f.frame_id]) for f in manifest.frames)
     return SplitSpec(train_fraction=train_fraction, seed=seed, assignment=pairs)
 
@@ -159,7 +153,8 @@ class DifficultyLevel(enum.IntEnum):
     IGNORED = 3
 
 
-# (max occlusion, max truncation, min projected height in pixels) per level.
+# The graded levels, easiest first, with their (max occlusion, max truncation,
+# min projected height in pixels) rules; every level list reads this order.
 DIFFICULTY_RULES = {
     DifficultyLevel.EASY: (Occlusion.FULLY_VISIBLE, 0.15, 40.0),
     DifficultyLevel.MODERATE: (Occlusion.PARTLY, 0.30, 25.0),
@@ -173,8 +168,7 @@ def assign_difficulty(
     """Classify an annotation into the easiest difficulty it qualifies for."""
     if projected_height < 0.0:
         raise ValidationError(f"projected_height must be >= 0, got {projected_height}")
-    for level in (DifficultyLevel.EASY, DifficultyLevel.MODERATE, DifficultyLevel.HARD):
-        max_occ, max_trunc, min_height = DIFFICULTY_RULES[level]
+    for level, (max_occ, max_trunc, min_height) in DIFFICULTY_RULES.items():
         if (
             annotation.occlusion <= max_occ
             and annotation.truncation <= max_trunc

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datasets import DifficultyLevel, assign_difficulty
+from .datasets import DIFFICULTY_RULES, DifficultyLevel, assign_difficulty
 from .errors import (
     EmptyInputError,
     FrameReferenceError,
@@ -20,12 +20,10 @@ from .errors import (
 from .formats import AnnotationRecord, DatasetManifest, DetectionRecord
 from .geometry import _iou_sweep, iou3d_matrix, rotation_from_euler
 
-LEVELS = (DifficultyLevel.EASY, DifficultyLevel.MODERATE, DifficultyLevel.HARD)
-LEVEL_NAMES = {
-    DifficultyLevel.EASY: "easy",
-    DifficultyLevel.MODERATE: "moderate",
-    DifficultyLevel.HARD: "hard",
-}
+
+def _check_threshold(threshold: float, what: str = "iou_threshold") -> None:
+    if not (0.0 < threshold < 1.0):  # NaN fails too
+        raise ValidationError(f"{what} must be in (0, 1), got {threshold}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +94,7 @@ def _match_ranked(
     row of highest IoU at or above the threshold, the first such row on
     ties. Returned indices refer to the original inputs via rows and cols.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValidationError(f"iou_threshold must be in (0, 1), got {iou_threshold}")
+    _check_threshold(iou_threshold)
     hits = ious >= iou_threshold
     dontcare_hit = np.any(hits[ignored], axis=0)
     open_rows = ~ignored
@@ -181,13 +178,9 @@ class EvalConfig:
     interpolation: str = "r40"
 
     def __post_init__(self):
-        if not (0.0 < self.iou_threshold < 1.0):  # NaN fails too
-            raise ValidationError(f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
+        _check_threshold(self.iou_threshold)
         for class_name, threshold in self.per_class_iou.items():
-            if not (0.0 < threshold < 1.0):
-                raise ValidationError(
-                    f"iou threshold of class {class_name!r} must be in (0, 1), got {threshold}"
-                )
+            _check_threshold(threshold, f"iou threshold of class {class_name!r}")
 
     def threshold_for(self, class_name: str) -> float:
         return self.per_class_iou.get(class_name, self.iou_threshold)
@@ -299,17 +292,16 @@ def evaluate(
 ) -> EvalReport:
     """Per class x difficulty AP over a manifest, pooled across frames.
 
-    Frames are merged in sorted frame-id order, so results are independent of
-    any parallel per-frame processing order. mAP per difficulty is the
+    Frames are merged in sorted frame-id order. mAP per difficulty is the
     unweighted mean over classes that have at least one in-level GT box.
     """
     config = config or EvalConfig()
     grouped = _group_detections(manifest, detections)
     frames = sorted(manifest.frames, key=lambda f: f.frame_id)
-    # Per (class, level): (score, seq, is_tp) flags pooled over frames, and
-    # the in-level GT count.
-    flags: dict[tuple[str, DifficultyLevel], list[tuple[float, int, bool]]] = {
-        (name, level): [] for name in manifest.class_taxonomy for level in LEVELS
+    # Per (class, level): (score, is_tp) flags pooled over frames, and the
+    # in-level GT count.
+    flags: dict[tuple[str, DifficultyLevel], list[tuple[float, bool]]] = {
+        (name, level): [] for name in manifest.class_taxonomy for level in DIFFICULTY_RULES
     }
     npos = dict.fromkeys(flags, 0)
     # Gather every (frame, class) group, take all their IoU matrices from one
@@ -325,31 +317,32 @@ def evaluate(
             groups.append((dets, difficulties, cls_name, rows, cols, boxes))
     matrices = _iou_sweep([group[-1] for group in groups])
     for (dets, difficulties, cls_name, rows, cols, _), ious in zip(groups, matrices):
-        for level in LEVELS:
+        for level in DIFFICULTY_RULES:
             # IGNORED ranks above every level, so it is always don't-care.
             ignored = np.array([difficulties[i] > level for i in rows], dtype=bool)
             result = _match_ranked(ious, rows, cols, ignored, config.threshold_for(cls_name))
             cell = flags[(cls_name, level)]
             npos[(cls_name, level)] += len(rows) - int(np.count_nonzero(ignored))
             for _, di, _ in result.pairs:
-                cell.append((dets[di].score, len(cell), True))
+                cell.append((dets[di].score, True))
             for di in result.unmatched_det:
-                cell.append((dets[di].score, len(cell), False))
+                cell.append((dets[di].score, False))
     cells: dict[str, dict[str, EvalCell]] = {}
     for cls_name in manifest.class_taxonomy:
         by_level: dict[str, EvalCell] = {}
-        for level in LEVELS:
-            cell = sorted(flags[(cls_name, level)], key=lambda item: (-item[0], item[1]))
+        for level in DIFFICULTY_RULES:
+            # A stable sort keeps equal scores in pooling order.
+            cell = sorted(flags[(cls_name, level)], key=lambda item: -item[0])
             total = npos[(cls_name, level)]
-            curve = PRCurve.from_flags([f[2] for f in cell], total)
+            curve = PRCurve.from_flags([f[1] for f in cell], total)
             ap = average_precision(curve, config.interpolation) if total > 0 else 0.0
-            tp = sum(1 for f in cell if f[2])
+            tp = sum(1 for f in cell if f[1])
             fp = len(cell) - tp
-            by_level[LEVEL_NAMES[level]] = EvalCell(ap=ap, gt=total, tp=tp, fp=fp, fn=total - tp)
+            by_level[level.name.lower()] = EvalCell(ap=ap, gt=total, tp=tp, fp=fp, fn=total - tp)
         cells[cls_name] = by_level
     map3d = {}
-    for level in LEVELS:
-        name = LEVEL_NAMES[level]
+    for level in DIFFICULTY_RULES:
+        name = level.name.lower()
         aps = [by_level[name].ap for by_level in cells.values() if by_level[name].gt > 0]
         map3d[name] = sum(aps) / len(aps) if aps else 0.0
     return EvalReport(
@@ -412,22 +405,10 @@ class ImprovementTable:
         return dict(dict(self.cells)[class_name])[level]
 
     def render(self) -> str:
-        lines = []
-        header = ["Class"] + [lvl for lvl, _ in self.map_change]
-        rows = [header]
-        for cls_name, by_level in self.cells:
-            row = [cls_name]
-            for _, change in by_level:
-                row.append("undefined" if change is None else f"{change:+.1f}%")
-            rows.append(row)
-        map_row = ["mAP"]
-        for _, change in self.map_change:
-            map_row.append("undefined" if change is None else f"{change:+.1f}%")
-        rows.append(map_row)
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        for row in rows:
-            lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
-        return "\n".join(lines) + "\n"
+        rows = [["Class"] + [lvl for lvl, _ in self.map_change]]
+        for name, changes in (*self.cells, ("mAP", self.map_change)):
+            rows.append([name] + ["undefined" if c is None else f"{c:+.1f}%" for _, c in changes])
+        return _layout(rows)
 
 
 def _percent_change(baseline: float, treatment: float) -> float | None:
@@ -473,22 +454,12 @@ class ReportRow:
     eval_set: str = ""
 
 
-_RENDER_COLUMNS = (
-    "Architecture",
-    "Pre-Train Set",
-    "Fine-Tuning Set",
-    "Evaluation Set",
-    "Easy",
-    "Moderate",
-    "Hard",
-)
-
-
 def render_report(rows: Sequence[ReportRow]) -> str:
     """Render reports as a fixed-column text table, AP values at 2 decimals."""
     if not rows:
         raise EmptyInputError("render_report requires at least one row")
-    table = [list(_RENDER_COLUMNS)]
+    names = [level.name.lower() for level in DIFFICULTY_RULES]
+    table = [["Architecture", "Pre-Train Set", "Fine-Tuning Set", "Evaluation Set", *map(str.title, names)]]
     for row in rows:
         table.append(
             [
@@ -496,12 +467,17 @@ def render_report(rows: Sequence[ReportRow]) -> str:
                 row.pretrain_set or "-",
                 " -> ".join(row.finetune_chain) if row.finetune_chain else "-",
                 row.eval_set or "-",
-                f"{row.report.map3d['easy']:.2f}",
-                f"{row.report.map3d['moderate']:.2f}",
-                f"{row.report.map3d['hard']:.2f}",
             ]
+            + [f"{row.report.map3d[name]:.2f}" for name in names]
         )
-    widths = [max(len(r[i]) for r in table) for i in range(len(_RENDER_COLUMNS))]
-    lines = [" | ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in table]
-    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return _layout(table, rule=True)
+
+
+def _layout(rows: list[list[str]], rule: bool = False) -> str:
+    """Left-justified columns as wide as their widest cell, joined by " | ",
+    trailing blanks cut; rule puts a "-+-" line under the header row."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    lines = [" | ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows]
+    if rule:
+        lines.insert(1, "-+-".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"

@@ -201,11 +201,11 @@ def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
     pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
     try:
         box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
+        if len(rest) % 2 == 0:  # no score column
+            return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d)
+        return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=rest[-1])
     except ValidationError as exc:
         raise ValidationError(f"{exc} (line {line_no})") from exc
-    if len(rest) % 2 == 0:  # no score column
-        return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d)
-    return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=rest[-1])
 
 
 # "%.6g" % v gives the bytes of format(float(v), ".6g") for any real v.
@@ -247,6 +247,17 @@ def _is_whole(value) -> bool:
     return _is_number(value) and (type(value) is int or value.is_integer())
 
 
+def _is_image_size(value, smallest: int) -> bool:
+    """A JSON list of two whole numbers, each at least smallest."""
+    return isinstance(value, list) and len(value) == 2 and all(_is_whole(v) and v >= smallest for v in value)
+
+
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} {value!r} is not a string")
+    return value
+
+
 def _number(value, field: str):
     if not _is_number(value):
         raise ValueError(f"{field} must be a number, got {value!r}")
@@ -279,7 +290,7 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
             raise ValueError(f"occlusion {occlusion!r} is not a whole number")
         box2d = obj.get("box2d")
         kwargs = dict(
-            class_name=obj["class_name"],
+            class_name=_string(obj["class_name"], "class_name"),
             truncation=float(_number(obj.get("truncation", 0.0), "truncation")),
             occlusion=Occlusion(int(occlusion)),
             box2d=_numbers(box2d, "box2d") if box2d is not None else None,
@@ -350,28 +361,33 @@ def load_manifest(text: str) -> DatasetManifest:
     frames = []
     for index, fobj in enumerate(doc["frames"]):
         try:
-            frame_id = fobj["frame_id"]
-            image_size = tuple(fobj.get("image_size", (0, 0)))
-            if not all(map(_is_whole, image_size)):
-                raise ValueError(f"image_size {list(image_size)!r} of frame {frame_id!r} must hold whole numbers")
+            frame_id = _string(fobj["frame_id"], "frame_id")
+            image_size = fobj.get("image_size", [0, 0])
+            if not _is_image_size(image_size, 0):
+                raise ValueError(
+                    f"image_size {image_size!r} of frame {frame_id!r} must hold whole numbers, two of them, none negative"
+                )
             annotations = tuple(
                 _annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
             )
             frames.append(
                 FrameRecord(
                     frame_id=frame_id,
-                    image_path=fobj.get("image_path", ""),
+                    image_path=_string(fobj.get("image_path", ""), "image_path"),
                     image_size=image_size,
-                    calibration_ref=fobj.get("calibration_ref", ""),
+                    calibration_ref=_string(fobj.get("calibration_ref", ""), "calibration_ref"),
                     annotations=annotations,
                     tags=tuple((k, v) for k, v in fobj.get("tags", {}).items()),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed frame object at index {index}: {exc}") from exc
+    taxonomy = doc.get("class_taxonomy", [])
+    if not (isinstance(taxonomy, list) and all(isinstance(name, str) for name in taxonomy)):
+        raise SchemaError(f"class_taxonomy {taxonomy!r} must be a list of strings")
     return DatasetManifest(
         name=doc.get("name", ""),
-        class_taxonomy=tuple(doc.get("class_taxonomy", ())),
+        class_taxonomy=tuple(taxonomy),
         frames=tuple(frames),
     )
 
@@ -493,11 +509,6 @@ class CalibrationSet:
         raise CalibrationError(f"no transform from {source!r} to {target!r}")
 
 
-def _is_pixel_count(value) -> bool:
-    """A positive whole number, as JSON gives it: an int or an integral float."""
-    return _is_whole(value) and value > 0
-
-
 def parse_calibration(text: str) -> CalibrationSet:
     try:
         doc = json.loads(text)
@@ -514,7 +525,7 @@ def parse_calibration(text: str) -> CalibrationSet:
     if not np.isfinite(k).all():
         raise SchemaError("K holds non-finite entries")
     image_size = doc.get("image_size", (0, 0))
-    if not (isinstance(image_size, list) and len(image_size) == 2 and all(map(_is_pixel_count, image_size))):
+    if not _is_image_size(image_size, 1):
         raise SchemaError(f"image_size must be two positive integers, got {image_size!r}")
     intrinsics = Intrinsics.from_matrix(k.reshape(3, 3), image_size)
     transforms = []

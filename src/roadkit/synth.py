@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Intrinsics, RigidTransform, _move_boxes, _project_boxes
+from .datasets import splitmix64
 from .errors import GenerationError, ValidationError
 from .formats import (
     AnnotationRecord,
@@ -255,8 +256,6 @@ def generate_corpus(
     Frame i uses splitmix64(seed ^ i) so frames can be produced independently
     and in parallel while remaining deterministic.
     """
-    from .datasets import splitmix64
-
     if n_frames < 0:
         raise ValidationError(f"number of frames must be >= 0, got {n_frames}")
     frames = []

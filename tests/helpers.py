@@ -17,8 +17,9 @@ import numpy as np
 
 from roadkit import synth
 from roadkit.camera import BEHIND_CAMERA_EPS, Intrinsics, ProjectedBox, RigidTransform
+from roadkit.datasets import TEST, TRAIN, SplitSpec, _fisher_yates, _fnv1a64
 from roadkit.errors import FrameMismatchError, GenerationError, ParseError, ValidationError
-from roadkit.evaluation import MatchResult
+from roadkit.evaluation import ImprovementTable, MatchResult, ReportRow
 from roadkit.formats import (
     AnnotationRecord,
     CalibrationSet,
@@ -948,3 +949,79 @@ def reference_generate_scene(
     )
     calibration = CalibrationSet(intrinsics=intrinsics, transforms=(extrinsics,))
     return synth.SceneSample(frame=frame, calibration=calibration, pitch_deg=pitch_deg)
+
+
+# ---------------------------------------------------------------------------
+# Reference split and table renderers: the two-branch make_split, and the
+# report and improvement tables, each laying out its own columns.
+
+def reference_make_split(
+    manifest: DatasetManifest, train_fraction: float, seed: int, stratify_by_calibration: bool = False
+) -> SplitSpec:
+    """make_split with its own unstratified branch: one shuffle of all frames."""
+    n = len(manifest.frames)
+    total_train = int(math.floor(train_fraction * n + 0.5))
+    assignment: dict[str, str] = {}
+    if not stratify_by_calibration:
+        order = _fisher_yates([f.frame_id for f in manifest.frames], seed)
+        for i, fid in enumerate(order):
+            assignment[fid] = TRAIN if i < total_train else TEST
+    else:
+        groups: dict[str, list[str]] = {}
+        for f in manifest.frames:
+            groups.setdefault(f.calibration_ref, []).append(f.frame_id)
+        keys = sorted(groups)
+        quotas = {k: train_fraction * len(groups[k]) for k in keys}
+        base = {k: int(math.floor(quotas[k])) for k in keys}
+        remaining = total_train - sum(base.values())
+        by_remainder = sorted(keys, key=lambda k: (-(quotas[k] - base[k]), k))
+        for k in by_remainder[:remaining]:
+            base[k] += 1
+        for k in keys:
+            order = _fisher_yates(groups[k], seed ^ _fnv1a64(k))
+            for i, fid in enumerate(order):
+                assignment[fid] = TRAIN if i < base[k] else TEST
+    pairs = tuple((f.frame_id, assignment[f.frame_id]) for f in manifest.frames)
+    return SplitSpec(train_fraction=train_fraction, seed=seed, assignment=pairs)
+
+
+def reference_render_report(rows: Sequence[ReportRow]) -> str:
+    """render_report with its own column widths and header rule."""
+    columns = ("Architecture", "Pre-Train Set", "Fine-Tuning Set", "Evaluation Set", "Easy", "Moderate", "Hard")
+    table = [list(columns)]
+    for row in rows:
+        table.append(
+            [
+                row.architecture,
+                row.pretrain_set or "-",
+                " -> ".join(row.finetune_chain) if row.finetune_chain else "-",
+                row.eval_set or "-",
+                f"{row.report.map3d['easy']:.2f}",
+                f"{row.report.map3d['moderate']:.2f}",
+                f"{row.report.map3d['hard']:.2f}",
+            ]
+        )
+    widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
+    lines = [" | ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in table]
+    lines.insert(1, "-+-".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_table(table: ImprovementTable) -> str:
+    """ImprovementTable.render with its own column widths and no rule."""
+    lines = []
+    header = ["Class"] + [lvl for lvl, _ in table.map_change]
+    rows = [header]
+    for cls_name, by_level in table.cells:
+        row = [cls_name]
+        for _, change in by_level:
+            row.append("undefined" if change is None else f"{change:+.1f}%")
+        rows.append(row)
+    map_row = ["mAP"]
+    for _, change in table.map_change:
+        map_row.append("undefined" if change is None else f"{change:+.1f}%")
+    rows.append(map_row)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    for row in rows:
+        lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"

@@ -333,6 +333,68 @@ class TestConvertCommand:
         assert code == 1
 
 
+class TestMalformedInputExits1:
+    """A malformed name, image size or score is one error line, exit 1, and no output."""
+
+    @staticmethod
+    def _one_error_line(capsys, *needles):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
+        assert all(needle in captured.err for needle in needles), captured.err
+
+    @pytest.mark.parametrize("where", ["class_name", "frame_id", "class_taxonomy"])
+    def test_non_string_name_in_convert(self, corpus, tmp_path, capsys, where):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        frame = doc["frames"][2]
+        if where == "class_name":
+            frame["annotations"][0]["class_name"] = 5
+            doc["class_taxonomy"].append(5)
+        elif where == "frame_id":
+            frame["frame_id"] = 5
+        else:
+            doc["class_taxonomy"].append(5)
+        path, out = tmp_path / "bad.json", tmp_path / "out.txt"
+        path.write_text(json.dumps(doc))
+        argv = ["convert", "--input", str(path), "--output", str(out),
+                "--from-format", "manifest_json", "--to-format", "kitti_ext"]
+        assert main(argv) == 1
+        self._one_error_line(capsys, "roadkit convert: error:", where)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [[1920], [1920, 1080, 3], [-1920, 1080]])
+    def test_bad_image_size_in_convert_and_stats(self, corpus, tmp_path, capsys, size):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        frame = doc["frames"][2]
+        frame["image_size"] = size
+        path, out = tmp_path / "bad.json", tmp_path / "out.txt"
+        path.write_text(json.dumps(doc))
+        assert main(["stats", "--manifest", str(path)]) == 1
+        self._one_error_line(capsys, "roadkit stats: error:", repr(frame["frame_id"]), "image_size")
+        argv = ["convert", "--input", str(path), "--output", str(out),
+                "--from-format", "manifest_json", "--to-format", "kitti_ext"]
+        assert main(argv) == 1
+        self._one_error_line(capsys, "roadkit convert: error:", repr(frame["frame_id"]), "image_size")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("score", ["1.5", "-0.5"])
+    def test_score_out_of_range_in_eval_names_line(self, corpus, tmp_path, capsys, score):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for path in sorted((corpus / "detections").glob("*.txt")):
+            (pred / path.name).write_text(path.read_text())
+        path = sorted(pred.glob("*.txt"))[1]
+        lines = path.read_text().splitlines()
+        assert len(lines) >= 2
+        lines[1] = lines[1].rsplit(" ", 1)[0] + " " + score
+        path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.json"
+        argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(pred), "--out-json", str(report)]
+        assert main(argv) == 1
+        self._one_error_line(capsys, f"roadkit eval: error: score must be in [0, 1], got {float(score)} (line 2)")
+        assert not report.exists()
+
+
 class TestTransformCommand:
     def test_camera_to_world_round_trip(self, corpus, tmp_path):
         manifest = load_manifest((corpus / "manifest.json").read_text())

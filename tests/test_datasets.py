@@ -24,7 +24,7 @@ from roadkit.errors import (
 )
 from roadkit.formats import DatasetManifest, FrameRecord, Occlusion
 
-from helpers import make_annotation
+from helpers import make_annotation, reference_make_split
 
 
 def make_manifest(n_frames, calib_groups=1):
@@ -163,6 +163,32 @@ class TestMakeSplit:
             assert again == SplitSpec(fraction, seed, tuple(sorted(spec.assignment)))
             assert type(again.train_fraction) is float and type(again.seed) is int
             assert SplitSpec.from_json(again.to_json()) == again
+
+
+class TestMakeSplitAgainstReference:
+    """The one shuffle-and-quota path against the two-branch reference."""
+
+    SEEDS = (0, 1, 404, -3, (1 << 64) + 5)
+
+    @pytest.mark.parametrize("stratify", [False, True])
+    @pytest.mark.parametrize("groups", range(1, 8))
+    def test_equals_reference(self, groups, stratify):
+        rng = np.random.default_rng(groups)
+        for n in range(1, 51):
+            frames = tuple(
+                FrameRecord(frame_id=f"f{rng.integers(1000)}-{i}", calibration_ref=f"cam{rng.integers(groups)}")
+                for i in range(n)
+            )
+            manifest = DatasetManifest(name="d", class_taxonomy=(), frames=frames)
+            # Fractions whose product with the frame count ends in .5, and one drawn at random.
+            halves = [(2 * k + 1) / (2 * n) for k in range(n)]
+            fractions = [f for f in halves if 0.0 < f < 1.0][:3] + [float(rng.uniform(0.01, 0.99))]
+            for fraction in fractions:
+                for seed in self.SEEDS:
+                    got = make_split(manifest, fraction, seed, stratify_by_calibration=stratify)
+                    expected = reference_make_split(manifest, fraction, seed, stratify_by_calibration=stratify)
+                    assert got.to_json().encode() == expected.to_json().encode()
+                    assert got.assignment == expected.assignment
 
 
 class TestDifficulty:

@@ -13,6 +13,7 @@ from roadkit.errors import (
     ValidationError,
 )
 from roadkit.evaluation import (
+    EvalCell,
     EvalConfig,
     EvalReport,
     PRCurve,
@@ -27,7 +28,14 @@ from roadkit.evaluation import (
 from roadkit.formats import DatasetManifest, FrameRecord
 from roadkit.synth import NoiseSpec, SceneConfig, corrupt_detections, generate_corpus
 
-from helpers import make_annotation, make_detection, oracle_evaluate, reference_match_frame
+from helpers import (
+    make_annotation,
+    make_detection,
+    oracle_evaluate,
+    reference_match_frame,
+    reference_render_report,
+    reference_render_table,
+)
 
 
 def single_class_manifest(annotations, frame_id="f0", taxonomy=("Car",)):
@@ -495,3 +503,49 @@ class TestRenderReport:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             render_report([])
+
+
+def _random_report(rng, classes):
+    """A report whose AP values are often 0.0, so tables get undefined cells."""
+    def value():
+        return 0.0 if rng.random() < 0.3 else float(rng.choice([rng.uniform(0, 100), rng.uniform(0, 1e-3), 1e4]))
+
+    levels = ("easy", "moderate", "hard")
+    cells = {
+        name: {lvl: EvalCell(ap=value(), gt=0, tp=0, fp=0, fn=0) for lvl in levels} for name in classes
+    }
+    return EvalReport(cells=cells, map3d={lvl: value() for lvl in levels})
+
+
+class TestRenderersAgainstReference:
+    """Both tables share one column layout; each equals its own reference by bytes."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_improvement_table(self, seed):
+        rng = np.random.default_rng(seed)
+        names = ["Car", "Pedestrian", "Bus", "x", "a-very-long-class-name"]
+        classes = [str(c) for c in rng.choice(names, size=rng.integers(1, 6), replace=False)]
+        table = compare_reports(_random_report(rng, classes), _random_report(rng, classes))
+        assert table.render().encode() == reference_render_table(table).encode()
+
+    def test_improvement_table_of_undefined_cells_only(self):
+        zero = EvalReport.from_map_values(0.0, 0.0, 0.0, class_name="Truck")
+        table = compare_reports(zero, EvalReport.from_map_values(1.0, 0.0, 3.0, class_name="Truck"))
+        assert table.render() == reference_render_table(table)
+        assert table.render().count("undefined") == 6
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_report(self, seed):
+        rng = np.random.default_rng(seed)
+        sets = ["", "target", "large-corpus", "a", "mid-set"]
+        rows = [
+            ReportRow(
+                report=_random_report(rng, ["all"]),
+                architecture=str(rng.choice(["Cube R-CNN", "M", "SMOKE"])),
+                pretrain_set=[None, *sets][rng.integers(6)] or None,
+                finetune_chain=tuple(str(s) for s in rng.choice(sets[1:], size=rng.integers(0, 4))),
+                eval_set=str(rng.choice(sets)),
+            )
+            for _ in range(rng.integers(1, 5))
+        ]
+        assert render_report(rows).encode() == reference_render_report(rows).encode()

@@ -253,15 +253,22 @@ def _outcome(parse, line: str, line_no: int):
         return (type(exc), str(exc))
 
 
+def _reference_outcome(line: str, line_no: int):
+    """The reference's outcome, with the line appended to a score fault's
+    message as the parser appends it to every range fault of a record."""
+    outcome = _outcome(reference_parse_kitti_line, line, line_no)
+    if outcome[0] is ValidationError and outcome[1].startswith("score "):
+        return (ValidationError, f"{outcome[1]} (line {line_no})")
+    return outcome
+
+
 class TestKittiParserAgainstReference:
     """The one-pass parser against the column-by-column reference."""
 
     @settings(max_examples=400, deadline=None)
     @given(kitti_lines(), st.integers(1, 10_000))
     def test_records_equal_reference(self, line, line_no):
-        assert _outcome(_parse_kitti_line, line, line_no) == _outcome(
-            reference_parse_kitti_line, line, line_no
-        )
+        assert _outcome(_parse_kitti_line, line, line_no) == _reference_outcome(line, line_no)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -293,7 +300,12 @@ class TestKittiParserAgainstReference:
         ],
     )
     def test_edge_lines_equal_reference(self, line):
-        assert _outcome(_parse_kitti_line, line, 1) == _outcome(reference_parse_kitti_line, line, 1)
+        assert _outcome(_parse_kitti_line, line, 1) == _reference_outcome(line, 1)
+
+    @pytest.mark.parametrize("score", ["1.5", "-0.25", "1e300"])
+    def test_score_fault_names_line(self, score):
+        with pytest.raises(ValidationError, match=rf"^score must be in \[0, 1\], got .* \(line 4\)$"):
+            _parse_kitti_line(f"{BASE_LINE} {score}", 4)
 
     @pytest.mark.parametrize(
         "line, field",
@@ -461,6 +473,40 @@ class TestManifestJson:
     def test_fractional_image_size_names_frame(self, size):
         doc = {"frames": [{"frame_id": "f0"}, {"frame_id": "f7", "image_size": size}]}
         with pytest.raises(SchemaError, match="image_size .* of frame 'f7' must hold whole numbers"):
+            load_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("size", [[1920], [1920, 1080, 3], [-1920, 1080], [1920, -1.0], []])
+    def test_image_size_of_other_than_two_non_negative_numbers_names_frame(self, size):
+        doc = {"frames": [{"frame_id": "f0"}, {"frame_id": "f7", "image_size": size}]}
+        with pytest.raises(SchemaError, match="image_size .* of frame 'f7' must hold whole numbers, two of them, none negative"):
+            load_manifest(json.dumps(doc))
+
+    def test_zero_image_size_loads(self):
+        # write_labels(..., "manifest_json") writes frames without an image size as [0, 0].
+        text = write_labels([make_annotation(frame_id="f0")], "manifest_json")
+        assert json.loads(text)["frames"][0]["image_size"] == [0, 0]
+        assert load_manifest(text).frames[0].image_size == (0, 0)
+
+    @pytest.mark.parametrize("value", [5, None, ["Car"], {"n": 1}, True])
+    @pytest.mark.parametrize("where", ["class_name", "frame_id", "calibration_ref", "image_path"])
+    def test_non_string_name_names_frame(self, where, value):
+        annotation = {"class_name": "Car", "box3d": {"center": [0, 0, 10], "dims": [1, 2, 3]}}
+        frame = {"frame_id": "f7", "annotations": [annotation]}
+        if where == "class_name":
+            annotation[where] = value
+            expected = f"malformed annotation object in frame 'f7': class_name {value!r} is not a string"
+        else:
+            frame[where] = value
+            expected = f"malformed frame object at index 1: {where} {value!r} is not a string"
+        doc = {"class_taxonomy": ["Car"], "frames": [{"frame_id": "f0"}, frame]}
+        with pytest.raises(SchemaError) as got:
+            load_manifest(json.dumps(doc))
+        assert str(got.value) == expected
+
+    @pytest.mark.parametrize("taxonomy", [[5], ["Car", None], "Car", {"Car": 1}])
+    def test_taxonomy_must_be_a_list_of_strings(self, taxonomy):
+        doc = {"class_taxonomy": taxonomy, "frames": [{"frame_id": "f0"}]}
+        with pytest.raises(SchemaError, match="class_taxonomy .* must be a list of strings"):
             load_manifest(json.dumps(doc))
 
     @pytest.mark.parametrize("value", [1.5, 0.25, -0.5])
@@ -722,7 +768,8 @@ class TestCalibration:
             parse_calibration(json.dumps(obj))
 
     @pytest.mark.parametrize(
-        "size", ["1920x1080", "10", 5, [1920.5, 1080], [1920, True], [1920, -1080.0], [1920, math.inf], [1920]]
+        "size",
+        ["1920x1080", "10", 5, [1920.5, 1080], [1920, True], [1920, -1080.0], [1920, math.inf], [1920], [0, 1080], [1920, 0]],
     )
     def test_bad_image_size_values(self, size):
         obj = json.loads(dump_calibration(self.make_calibration()))
