@@ -1,6 +1,7 @@
 """Command-line front end: convert, transform, split, eval, compare, synth, stats.
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error. All randomness
+Exit codes: 0 success, 1 validation/usage error (an undecodable input file
+included), 2 I/O error (a missing input file or directory). All randomness
 flows through explicit --seed flags; outputs are byte-identical across runs
 for identical inputs.
 """
@@ -15,8 +16,9 @@ from pathlib import Path
 
 from .camera import _transform_boxes
 from .datasets import make_split
-from .errors import RoadkitError, ValidationError
+from .errors import ParseError, RoadkitError, ValidationError
 from .evaluation import (
+    _RECALL_SAMPLES,
     EvalConfig,
     EvalReport,
     ReportRow,
@@ -84,7 +86,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="ground-truth manifest JSON")
     p.add_argument("--pred", required=True, help="directory of <frame_id>.txt kitti_ext detections")
     p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--interpolation", choices=("r40", "r11"), default="r40")
+    p.add_argument("--interpolation", choices=tuple(_RECALL_SAMPLES), default="r40")
     p.add_argument(
         "--jobs", type=int, default=1,
         help="ignored: evaluation runs serially; kept for compatibility",
@@ -112,8 +114,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not text: {exc}") from exc
+
+
+def _label_files(directory: Path) -> list[Path]:
+    """The *.txt files of a directory in name order; a missing directory is an I/O error."""
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
+    return sorted(directory.glob("*.txt"))
 
 
 def _cmd_convert(args) -> int:
@@ -125,10 +137,11 @@ def _cmd_convert(args) -> int:
 def _cmd_transform(args) -> int:
     calibration = parse_calibration(_read(args.calib))
     rigid = calibration.transform(args.source, args.target)
+    label_files = _label_files(Path(args.labels))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for label_file in sorted(Path(args.labels).glob("*.txt")):
-        records = parse_labels(label_file.read_text(), "kitti_ext")
+    for label_file in label_files:
+        records = parse_labels(_read(label_file), "kitti_ext")
         boxes = _transform_boxes(rigid, [record.box3d for record in records])
         moved = [_with_fields(record, box3d=box) for record, box in zip(records, boxes)]
         (out_dir / label_file.name).write_text(write_labels(moved, "kitti_ext"))
@@ -144,8 +157,8 @@ def _cmd_split(args) -> int:
 
 def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
     detections = {}
-    for path in sorted(pred_dir.glob("*.txt")):
-        records = parse_labels(path.read_text(), "kitti_ext")
+    for path in _label_files(pred_dir):
+        records = parse_labels(_read(path), "kitti_ext")
         out = []
         for r in records:
             if not isinstance(r, DetectionRecord):

@@ -17,7 +17,7 @@ from .errors import (
     TaxonomyError,
     ValidationError,
 )
-from .formats import AnnotationRecord, DatasetManifest, DetectionRecord
+from .formats import AnnotationRecord, DatasetManifest, DetectionRecord, _is_whole, _number
 from .geometry import _iou_sweep, iou3d_matrix, rotation_from_euler
 
 
@@ -140,18 +140,25 @@ class PRCurve:
         return cls(points=tuple(points))
 
 
+_RECALL_SAMPLES = {
+    "r40": [k / 40 for k in range(1, 41)],
+    "r11": [k / 10 for k in range(0, 11)],
+}
+
+
+def _recall_samples(interpolation: str) -> list[float]:
+    if interpolation not in _RECALL_SAMPLES:
+        raise ValidationError(f"unknown interpolation {interpolation!r}")
+    return _RECALL_SAMPLES[interpolation]
+
+
 def average_precision(curve: PRCurve, interpolation: str = "r40") -> float:
     """Interpolated average precision on a 0-100 scale.
 
     r40 samples recall at {k/40 : k = 1..40}; r11 at {k/10 : k = 0..10}.
     Interpolated precision at r is the maximum precision at any recall >= r.
     """
-    if interpolation == "r40":
-        samples = [k / 40 for k in range(1, 41)]
-    elif interpolation == "r11":
-        samples = [k / 10 for k in range(0, 11)]
-    else:
-        raise ValidationError(f"unknown interpolation {interpolation!r}")
+    samples = _recall_samples(interpolation)
     precisions = []
     for r in samples:
         best = 0.0
@@ -179,6 +186,7 @@ class EvalConfig:
 
     def __post_init__(self):
         _check_threshold(self.iou_threshold)
+        _recall_samples(self.interpolation)
         for class_name, threshold in self.per_class_iou.items():
             _check_threshold(threshold, f"iou threshold of class {class_name!r}")
 
@@ -207,7 +215,7 @@ class EvalReport:
         interpolation: str = "r40",
     ) -> "EvalReport":
         """Build a fixture report from aggregate per-difficulty values."""
-        values = {"easy": easy, "moderate": moderate, "hard": hard}
+        values = dict(zip([level.name.lower() for level in DIFFICULTY_RULES], (easy, moderate, hard)))
         cells = {class_name: {lvl: EvalCell(ap=v, gt=0, tp=0, fp=0, fn=0) for lvl, v in values.items()}}
         return cls(cells=cells, map3d=dict(values), iou_threshold=iou_threshold, interpolation=interpolation)
 
@@ -231,27 +239,28 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         try:
-            doc = json.loads(text, parse_constant=_reject_constant)
-            cells = {
-                cls_name: {
-                    lvl: EvalCell(ap=c["ap"], gt=c["gt"], tp=c["tp"], fp=c["fp"], fn=c["fn"])
-                    for lvl, c in by_level.items()
-                }
-                for cls_name, by_level in doc["classes"].items()
-            }
-            return cls(
-                cells=cells,
-                map3d={k: float(v) for k, v in doc["map"].items()},
-                iou_threshold=float(doc["iou_threshold"]),
+            doc = json.loads(text)
+            config = EvalConfig(
+                iou_threshold=_number(doc["iou_threshold"], "iou_threshold"),
+                per_class_iou={k: _number(v, f"iou of {k!r}") for k, v in doc.get("per_class_iou", {}).items()},
                 interpolation=doc["interpolation"],
-                per_class_iou={k: float(v) for k, v in doc.get("per_class_iou", {}).items()},
             )
-        except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as exc:
+            map3d = {lvl: _number(v, f"map {lvl!r}") for lvl, v in doc["map"].items()}
+            cells = {}
+            for cls_name, by_level in doc["classes"].items():
+                if set(by_level) != set(map3d):
+                    raise ValueError(f"levels {sorted(by_level)} of {cls_name!r} are not the map's {sorted(map3d)}")
+                cells[cls_name] = {lvl: _cell(c, f"{cls_name!r} {lvl!r}") for lvl, c in by_level.items()}
+        except (AttributeError, KeyError, TypeError, ValueError, ValidationError) as exc:
             raise SchemaError(f"malformed report document: {exc}") from exc
+        return cls(cells, map3d, config.iou_threshold, config.interpolation, config.per_class_iou)
 
 
-def _reject_constant(name: str):
-    raise SchemaError(f"malformed report document: non-finite number {name}")
+def _cell(obj: dict, where: str) -> EvalCell:
+    counts = {key: obj[key] for key in ("gt", "tp", "fp", "fn")}
+    if not all(_is_whole(n) and n >= 0 for n in counts.values()):
+        raise ValueError(f"{where} counts {counts} must be whole numbers, none negative")
+    return EvalCell(ap=_number(obj["ap"], f"{where} ap"), **counts)
 
 
 def _gt_difficulty(annotation: AnnotationRecord) -> DifficultyLevel:
@@ -425,21 +434,20 @@ def compare_reports(baseline: EvalReport, treatment: EvalReport) -> ImprovementT
     """
     if set(baseline.cells) != set(treatment.cells):
         raise ValidationError("reports cover different class sets")
-    cells = []
-    for cls_name in baseline.cells:
-        if set(baseline.cells[cls_name]) != set(treatment.cells[cls_name]):
-            raise ValidationError(f"reports cover different levels for {cls_name!r}")
-        by_level = tuple(
-            (lvl, _percent_change(baseline.cells[cls_name][lvl].ap, treatment.cells[cls_name][lvl].ap))
-            for lvl in baseline.cells[cls_name]
-        )
-        cells.append((cls_name, by_level))
     if set(baseline.map3d) != set(treatment.map3d):
         raise ValidationError("reports cover different difficulty levels")
-    map_change = tuple(
-        (lvl, _percent_change(baseline.map3d[lvl], treatment.map3d[lvl]))
-        for lvl in baseline.map3d
-    )
+    # Every row is read in the map's level order, the order of the header.
+    levels = tuple(baseline.map3d)
+    cells = []
+    for cls_name in baseline.cells:
+        if not set(baseline.cells[cls_name]) == set(treatment.cells[cls_name]) == set(levels):
+            raise ValidationError(f"levels of {cls_name!r} differ between the reports or from their map")
+        by_level = tuple(
+            (lvl, _percent_change(baseline.cells[cls_name][lvl].ap, treatment.cells[cls_name][lvl].ap))
+            for lvl in levels
+        )
+        cells.append((cls_name, by_level))
+    map_change = tuple((lvl, _percent_change(baseline.map3d[lvl], treatment.map3d[lvl])) for lvl in levels)
     return ImprovementTable(cells=tuple(cells), map_change=map_change)
 
 

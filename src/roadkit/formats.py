@@ -234,16 +234,15 @@ def _write_kitti_line(record: AnnotationRecord) -> str:
 # --------------------------------------------------------------------------
 # JSON record schema (shared by manifests and the manifest_json label format)
 
-# A JSON number is an int or a float, not a bool or a string.
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _is_number(value) -> bool:
-    return type(value) in _NUMBER_TYPES
+    """A finite JSON number: an int, or a float that is neither NaN nor
+    infinite; never a bool or a string. An int is tested first: it is always
+    finite, and math.isfinite overflows on one too large for a float."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _is_whole(value) -> bool:
-    """A JSON number with no fractional part: an int, or a float that is neither NaN nor infinite."""
+    """A JSON number with no fractional part."""
     return _is_number(value) and (type(value) is int or value.is_integer())
 
 
@@ -260,22 +259,22 @@ def _string(value, field: str) -> str:
 
 def _number(value, field: str):
     if not _is_number(value):
-        raise ValueError(f"{field} must be a number, got {value!r}")
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
     return value
 
 
 def _numbers(values, field: str) -> tuple:
     values = tuple(values)
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
-        raise ValueError(f"{field} must hold numbers, got {list(values)!r}")
+    if not all(map(_is_number, values)):
+        raise ValueError(f"{field} must hold finite numbers, got {list(values)!r}")
     return values
 
 
 def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
     # A value of the wrong kind is a KeyError, TypeError, ValueError or
-    # OverflowError: a missing key, a string or bool where a number belongs,
-    # an unknown or fractional occlusion level, or an int too large to be a
-    # float.
+    # OverflowError: a missing key, a string, bool or non-finite value where a
+    # number belongs, an unknown or fractional occlusion level, or an int too
+    # large to be a float. A value out of its range is a ValidationError.
     try:
         box = obj["box3d"]
         box3d = Box3D(
@@ -295,12 +294,12 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
             occlusion=Occlusion(int(occlusion)),
             box2d=_numbers(box2d, "box2d") if box2d is not None else None,
             box3d=box3d,
-            frame_id=obj.get("frame_id", frame_id),
+            frame_id=frame_id,
         )
         if "score" in obj:
             return DetectionRecord(score=float(_number(obj["score"], "score")), **kwargs)
         return AnnotationRecord(**kwargs)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
 
 
@@ -308,7 +307,7 @@ def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
     """Parse label text into annotation (or detection) records.
 
     For manifest_json input the frames' annotations are returned flattened,
-    each carrying its frame_id.
+    each carrying the frame_id of the frame that holds it.
     """
     if fmt == "kitti_ext":
         records = []
@@ -318,14 +317,7 @@ def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
             records.append(_parse_kitti_line(line, line_no))
         return records
     if fmt == "manifest_json":
-        manifest = load_manifest(text)
-        out: list[AnnotationRecord] = []
-        for frame in manifest.frames:
-            for ann in frame.annotations:
-                if ann.frame_id != frame.frame_id:
-                    ann = _with_fields(ann, frame_id=frame.frame_id)
-                out.append(ann)
-        return out
+        return [ann for frame in load_manifest(text).frames for ann in frame.annotations]
     raise ValidationError(f"unknown label format {fmt!r}")
 
 
@@ -377,16 +369,18 @@ def load_manifest(text: str) -> DatasetManifest:
                     image_size=image_size,
                     calibration_ref=_string(fobj.get("calibration_ref", ""), "calibration_ref"),
                     annotations=annotations,
-                    tags=tuple((k, v) for k, v in fobj.get("tags", {}).items()),
+                    tags=tuple((k, _string(v, f"tag {k!r}")) for k, v in fobj.get("tags", {}).items()),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed frame object at index {index}: {exc}") from exc
-    taxonomy = doc.get("class_taxonomy", [])
-    if not (isinstance(taxonomy, list) and all(isinstance(name, str) for name in taxonomy)):
+    name, taxonomy = doc.get("name", ""), doc.get("class_taxonomy", [])
+    if not isinstance(name, str):
+        raise SchemaError(f"manifest name {name!r} is not a string")
+    if not (isinstance(taxonomy, list) and all(isinstance(c, str) for c in taxonomy)):
         raise SchemaError(f"class_taxonomy {taxonomy!r} must be a list of strings")
     return DatasetManifest(
-        name=doc.get("name", ""),
+        name=name,
         class_taxonomy=tuple(taxonomy),
         frames=tuple(frames),
     )
@@ -516,32 +510,31 @@ def parse_calibration(text: str) -> CalibrationSet:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(doc, dict) or "K" not in doc:
         raise SchemaError("calibration document must be an object holding 'K'")
-    try:
-        k = np.asarray(doc["K"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"K must hold 9 numbers: {exc}") from exc
-    if k.size != 9:
-        raise SchemaError(f"K must hold 9 numbers, got {k.size}")
-    if not np.isfinite(k).all():
-        raise SchemaError("K holds non-finite entries")
     image_size = doc.get("image_size", (0, 0))
     if not _is_image_size(image_size, 1):
         raise SchemaError(f"image_size must be two positive integers, got {image_size!r}")
-    intrinsics = Intrinsics.from_matrix(k.reshape(3, 3), image_size)
+    # An int too large to be a float ends in an OverflowError.
+    try:
+        intrinsics = Intrinsics.from_matrix(np.reshape(_numbers(doc["K"], "K"), (3, 3)), image_size)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"malformed K: {exc}") from exc
+    tobjs = doc.get("transforms", [])
+    if not isinstance(tobjs, list):
+        raise SchemaError(f"transforms {tobjs!r} must be a list")
     transforms = []
-    for tobj in doc.get("transforms", []):
+    for tobj in tobjs:
         try:
-            rot = np.asarray(tobj["R"], dtype=float).reshape(3, 3)
-            t = np.asarray(tobj["t"], dtype=float).reshape(3)
-            source, target = tobj["source"], tobj["target"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed transform object: {exc}") from exc
-        try:
-            transforms.append(
-                RigidTransform(rotation=rot, translation=t, source_frame=source, target_frame=target)
+            rigid = RigidTransform(
+                rotation=np.reshape(_numbers(tobj["R"], "R"), (3, 3)),
+                translation=np.reshape(_numbers(tobj["t"], "t"), 3),
+                source_frame=_string(tobj["source"], "source"),
+                target_frame=_string(tobj["target"], "target"),
             )
         except ValidationError as exc:
-            raise CalibrationError(f"transform {source!r}->{target!r}: {exc}") from exc
+            raise CalibrationError(f"transform {tobj['source']!r}->{tobj['target']!r}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed transform object: {exc}") from exc
+        transforms.append(rigid)
     return CalibrationSet(intrinsics=intrinsics, transforms=tuple(transforms))
 
 

@@ -29,6 +29,14 @@ def corpus(tmp_path):
     return out
 
 
+def _one_error_line(capsys, *needles):
+    """Nothing on stdout, and one line on stderr ("error:" or "i/o error:") holding every needle."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1, captured.err
+    assert all(needle in captured.err for needle in needles), captured.err
+
+
 class TestSynthCommand:
     def test_layout(self, corpus):
         assert (corpus / "manifest.json").is_file()
@@ -336,13 +344,6 @@ class TestConvertCommand:
 class TestMalformedInputExits1:
     """A malformed name, image size or score is one error line, exit 1, and no output."""
 
-    @staticmethod
-    def _one_error_line(capsys, *needles):
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("error:") == 1 and len(captured.err.splitlines()) == 1
-        assert all(needle in captured.err for needle in needles), captured.err
-
     @pytest.mark.parametrize("where", ["class_name", "frame_id", "class_taxonomy"])
     def test_non_string_name_in_convert(self, corpus, tmp_path, capsys, where):
         doc = json.loads((corpus / "manifest.json").read_text())
@@ -359,7 +360,7 @@ class TestMalformedInputExits1:
         argv = ["convert", "--input", str(path), "--output", str(out),
                 "--from-format", "manifest_json", "--to-format", "kitti_ext"]
         assert main(argv) == 1
-        self._one_error_line(capsys, "roadkit convert: error:", where)
+        _one_error_line(capsys, "roadkit convert: error:", where)
         assert not out.exists()
 
     @pytest.mark.parametrize("size", [[1920], [1920, 1080, 3], [-1920, 1080]])
@@ -370,11 +371,11 @@ class TestMalformedInputExits1:
         path, out = tmp_path / "bad.json", tmp_path / "out.txt"
         path.write_text(json.dumps(doc))
         assert main(["stats", "--manifest", str(path)]) == 1
-        self._one_error_line(capsys, "roadkit stats: error:", repr(frame["frame_id"]), "image_size")
+        _one_error_line(capsys, "roadkit stats: error:", repr(frame["frame_id"]), "image_size")
         argv = ["convert", "--input", str(path), "--output", str(out),
                 "--from-format", "manifest_json", "--to-format", "kitti_ext"]
         assert main(argv) == 1
-        self._one_error_line(capsys, "roadkit convert: error:", repr(frame["frame_id"]), "image_size")
+        _one_error_line(capsys, "roadkit convert: error:", repr(frame["frame_id"]), "image_size")
         assert not out.exists()
 
     @pytest.mark.parametrize("score", ["1.5", "-0.5"])
@@ -391,7 +392,7 @@ class TestMalformedInputExits1:
         report = tmp_path / "report.json"
         argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(pred), "--out-json", str(report)]
         assert main(argv) == 1
-        self._one_error_line(capsys, f"roadkit eval: error: score must be in [0, 1], got {float(score)} (line 2)")
+        _one_error_line(capsys, f"roadkit eval: error: score must be in [0, 1], got {float(score)} (line 2)")
         assert not report.exists()
 
 
@@ -495,6 +496,115 @@ class TestCompareCommand:
         assert code == 2
 
 
+def _two_reports(corpus, tmp_path):
+    paths = []
+    for iou in ("0.9", "0.5"):
+        path = tmp_path / f"report-{iou}.json"
+        argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(corpus / "detections"),
+                "--iou", iou, "--out-json", str(path)]
+        assert main(argv) == 0
+        paths.append(path)
+    return paths
+
+
+class TestCompareReadsByMap:
+    def test_reordered_level_keys_give_the_same_table(self, tmp_path, capsys):
+        baseline, treatment = tmp_path / "baseline.json", tmp_path / "treatment.json"
+        baseline.write_text(EvalReport.from_map_values(2.09, 2.62, 2.61, class_name="Car").to_json())
+        treatment.write_text(EvalReport.from_map_values(6.60, 8.60, 8.65, class_name="Car").to_json())
+        assert main(["compare", "--baseline", str(baseline), "--treatment", str(treatment)]) == 0
+        expected = capsys.readouterr().out
+        for path in (baseline, treatment):
+            doc = json.loads(path.read_text())
+            for name, by_level in doc["classes"].items():
+                doc["classes"][name] = dict(reversed(by_level.items()))
+            path.write_text(json.dumps(doc))
+        assert main(["compare", "--baseline", str(baseline), "--treatment", str(treatment)]) == 0
+        assert capsys.readouterr().out == expected
+        assert expected.splitlines()[1].split() == ["Car", "|", "+215.8%", "|", "+231.4%", "|", "+228.2%"]
+
+    def test_missing_level_exits_1(self, corpus, tmp_path, capsys):
+        baseline, treatment = _two_reports(corpus, tmp_path)
+        doc = json.loads(baseline.read_text())
+        name = sorted(doc["classes"])[0]
+        del doc["classes"][name]["hard"]
+        baseline.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(baseline), "--treatment", str(treatment)]) == 1
+        _one_error_line(capsys, "roadkit compare: error: malformed report document", repr(name))
+
+    @pytest.mark.parametrize("ap", ['"x"', "null", "NaN"])
+    def test_non_number_ap_exits_1(self, corpus, tmp_path, capsys, ap):
+        baseline, treatment = _two_reports(corpus, tmp_path)
+        text = baseline.read_text()
+        baseline.write_text(text.replace('"ap": ', f'"ap": {ap}, "was": ', 1))
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(baseline), "--treatment", str(treatment)]) == 1
+        _one_error_line(capsys, "roadkit compare: error:", "ap must be a finite number")
+
+
+class TestMissingDirectoryExits2:
+    def test_eval_pred(self, corpus, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        for pred in (tmp_path / "no" / "such", corpus / "manifest.json"):
+            argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(pred), "--out-json", str(out)]
+            assert main(argv) == 2
+            _one_error_line(capsys, f"roadkit eval: i/o error: {pred} is not a directory")
+            assert not out.exists()
+
+    def test_transform_labels(self, corpus, tmp_path, capsys):
+        calib = sorted((corpus / "calib").glob("*.json"))[0]
+        out = tmp_path / "out"
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(tmp_path / "no-such-dir"), "--out", str(out)]
+        assert main(argv) == 2
+        _one_error_line(capsys, "roadkit transform: i/o error:")
+        assert not out.exists()
+
+    def test_empty_directory_still_evaluates(self, corpus, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(tmp_path / "empty")]
+        assert main(argv) == 0
+        assert "0.00" in capsys.readouterr().out
+
+
+class TestUndecodableFileExits1:
+    BYTES = b"\xff\xfe\x00binary"
+
+    def test_stats_manifest(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(self.BYTES)
+        assert main(["stats", "--manifest", str(path)]) == 1
+        _one_error_line(capsys, f"roadkit stats: error: {path} is not text")
+
+    def test_eval_detection_file(self, corpus, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for path in sorted((corpus / "detections").glob("*.txt")):
+            (pred / path.name).write_bytes(path.read_bytes())
+        bad = sorted(pred.glob("*.txt"))[1]
+        bad.write_bytes(self.BYTES)
+        assert main(["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(pred)]) == 1
+        _one_error_line(capsys, f"roadkit eval: error: {bad} is not text")
+
+    def test_transform_label_file(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        (labels / "a.txt").write_bytes(self.BYTES)
+        calib = sorted((corpus / "calib").glob("*.json"))[0]
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(labels), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        _one_error_line(capsys, "roadkit transform: error:", "is not text")
+
+    def test_compare_report(self, corpus, tmp_path, capsys):
+        baseline, treatment = _two_reports(corpus, tmp_path)
+        baseline.write_bytes(self.BYTES)
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(baseline), "--treatment", str(treatment)]) == 1
+        _one_error_line(capsys, f"roadkit compare: error: {baseline} is not text")
+
+
 class TestEvalThresholds:
     @pytest.mark.parametrize("iou", ["5", "nan", "0", "1", "-0.5", "inf"])
     def test_bad_iou_exits_1(self, iou, tmp_path, capsys):
@@ -557,6 +667,14 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self):
         assert main(["stats"]) == 1
+
+    def test_non_string_manifest_name_exits_1(self, corpus, tmp_path, capsys):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        doc["name"] = 5
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--gt", str(path), "--pred", str(corpus / "detections")]) == 1
+        _one_error_line(capsys, "roadkit eval: error:", "manifest name 5 is not a string")
 
     def test_missing_input_file_exits_2(self, tmp_path):
         assert main(["stats", "--manifest", str(tmp_path / "absent.json")]) == 2

@@ -357,6 +357,11 @@ class TestEvalConfig:
         with pytest.raises(ValidationError, match="'Bus'"):
             EvalConfig(per_class_iou={"Car": 0.7, "Bus": threshold})
 
+    @pytest.mark.parametrize("interpolation", ["r99", "R40", ""])
+    def test_unknown_interpolation_rejected(self, interpolation):
+        with pytest.raises(ValidationError, match=f"unknown interpolation {interpolation!r}"):
+            EvalConfig(interpolation=interpolation)
+
     def test_accepts_thresholds_inside(self):
         config = EvalConfig(iou_threshold=1e-9, per_class_iou={"Car": 0.999999, "Bus": 0.25})
         assert config.threshold_for("Bus") == 0.25
@@ -399,6 +404,47 @@ class TestEvalReportSerialization:
         text = EvalReport.from_map_values(10.0, 20.0, 30.0).to_json()
         with pytest.raises(SchemaError):
             EvalReport.from_json(text.replace('"iou_threshold": 0.5', '"iou_threshold": "high"'))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"iou_threshold": 0.5', '"iou_threshold": "0.5"'),
+            ('"iou_threshold": 0.5', '"iou_threshold": true'),
+            ('"iou_threshold": 0.5', '"iou_threshold": 7'),
+            ('"iou_threshold": 0.5', '"iou_threshold": 1e999'),
+            ('"interpolation": "r40"', '"interpolation": "r99"'),
+            ('"interpolation": "r40"', '"interpolation": 40'),
+            ('"ap": 10.0', '"ap": "x"'),
+            ('"ap": 10.0', '"ap": null'),
+            ('"easy": 10.0', '"easy": "10.0"'),
+            ('"gt": 0', '"gt": -1'),
+            ('"gt": 0', '"gt": 1.5'),
+            ('"gt": 0', '"gt": false'),
+            ('"map": {', '"per_class_iou": {"all": "0.7"}, "map": {'),
+            ('"map": {', '"per_class_iou": {"all": 1.5}, "map": {'),
+        ],
+    )
+    def test_value_of_wrong_kind_or_range_rejected(self, old, new):
+        text = EvalReport.from_map_values(10.0, 20.0, 30.0).to_json()
+        assert old in text
+        with pytest.raises(SchemaError, match="malformed report document"):
+            EvalReport.from_json(text.replace(old, new, 1))
+
+    def test_whole_number_values_load(self):
+        report = EvalReport.from_map_values(10.0, 20.0, 30.0)
+        text = report.to_json().replace(".0,", ",").replace(".0\n", "\n")
+        assert "10.0" not in text
+        assert EvalReport.from_json(text) == report
+
+    @pytest.mark.parametrize("drop", ["hard", "moderate"])
+    def test_class_levels_must_be_the_map_levels(self, drop):
+        doc = json.loads(EvalReport.from_map_values(10.0, 20.0, 30.0).to_json())
+        del doc["classes"]["all"][drop]
+        with pytest.raises(SchemaError, match="are not the map's"):
+            EvalReport.from_json(json.dumps(doc))
+        doc["classes"]["all"]["extra"] = doc["classes"]["all"]["easy"]
+        with pytest.raises(SchemaError, match="are not the map's"):
+            EvalReport.from_json(json.dumps(doc))
 
 
 class TestErrorBreakdown:
@@ -450,6 +496,27 @@ class TestCompareReports:
         assert "undefined" in rendered
         assert "+100.0%" in rendered
         assert "-50.0%" in rendered
+
+    def test_level_order_follows_the_map(self):
+        baseline = EvalReport.from_map_values(2.09, 2.62, 2.61)
+        treatment = EvalReport.from_map_values(6.60, 8.60, 8.65)
+        expected = compare_reports(baseline, treatment)
+        for report in (baseline, treatment):
+            report.cells["all"] = dict(reversed(report.cells["all"].items()))
+        assert list(baseline.cells["all"]) == ["hard", "moderate", "easy"]
+        table = compare_reports(baseline, treatment)
+        assert table == expected
+        assert table.render() == expected.render()
+
+    @pytest.mark.parametrize("where", ["baseline", "treatment"])
+    def test_class_levels_other_than_the_map_rejected(self, where):
+        reports = {
+            "baseline": EvalReport.from_map_values(2.09, 2.62, 2.61),
+            "treatment": EvalReport.from_map_values(6.60, 8.60, 8.65),
+        }
+        del reports[where].cells["all"]["hard"]
+        with pytest.raises(ValidationError, match="levels of 'all'"):
+            compare_reports(reports["baseline"], reports["treatment"])
 
     def test_mismatched_classes_rejected(self):
         a = EvalReport.from_map_values(1, 1, 1, class_name="Car")

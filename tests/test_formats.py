@@ -449,6 +449,13 @@ class TestManifestJson:
             ("box2d", ["a", 1, 2, 3]),
             ("center", ["a", 0, 1]),
             ("dims", [1, "b", 3]),
+            ("truncation", 1.5),
+            ("dims", [0, 2, 3]),
+            ("box2d", [1, 2, 3]),
+            ("score", 2),
+            ("center", [math.nan, 0, 1]),
+            ("box2d", [math.nan, 0, 1, 2]),
+            ("truncation", math.inf),
         ],
     )
     def test_bad_annotation_value_names_frame(self, field, value):
@@ -463,7 +470,13 @@ class TestManifestJson:
 
     @pytest.mark.parametrize(
         "frame",
-        [{"frame_id": "f", "image_size": ["a", 1]}, {"frame_id": "f", "tags": [1]}, "f", {"annotations": []}],
+        [
+            {"frame_id": "f", "image_size": ["a", 1]},
+            {"frame_id": "f", "tags": [1]},
+            "f",
+            {"annotations": []},
+            {"frame_id": "f", "tags": {"weather": 5}},
+        ],
     )
     def test_bad_frame_value_names_index(self, frame):
         with pytest.raises(SchemaError, match="malformed frame object at index 1"):
@@ -502,6 +515,11 @@ class TestManifestJson:
         with pytest.raises(SchemaError) as got:
             load_manifest(json.dumps(doc))
         assert str(got.value) == expected
+
+    @pytest.mark.parametrize("name", [5, None, ["labels"]])
+    def test_non_string_manifest_name(self, name):
+        with pytest.raises(SchemaError, match="manifest name .* is not a string"):
+            load_manifest(json.dumps({"name": name, "frames": []}))
 
     @pytest.mark.parametrize("taxonomy", [[5], ["Car", None], "Car", {"Car": 1}])
     def test_taxonomy_must_be_a_list_of_strings(self, taxonomy):
@@ -759,6 +777,11 @@ class TestCalibration:
             ["a"] * 9,
             [[1000, 0, 960], [0, 1000], [0, 0, 1]],
             {"fx": 1000},
+            ["1000", "0", "960", "0", "1000", "540", "0", "0", "1"],
+            [1000, False, 960, 0, 1000, 540, 0, 0, True],
+            [[1000, 0, 960], [0, 1000, 540], [0, 0, 1]],
+            [10**400, 0, 960, 0, 1000, 540, 0, 0, 1],
+            5,
         ],
     )
     def test_bad_k_values(self, k):
@@ -785,6 +808,39 @@ class TestCalibration:
         again = parse_calibration(json.dumps(obj))
         assert again.intrinsics == calib.intrinsics
         assert dump_calibration(again) == dump_calibration(calib)
+
+    def test_integer_k_gives_the_bits_of_float_k(self):
+        calib = self.make_calibration()
+        obj = json.loads(dump_calibration(calib))
+        obj["K"] = [int(v) for v in obj["K"]]
+        assert parse_calibration(json.dumps(obj)).intrinsics == calib.intrinsics
+        assert dump_calibration(parse_calibration(json.dumps(obj))) == dump_calibration(calib)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("source", 5),
+            ("target", None),
+            ("t", [0.1, True, 0.5]),
+            ("t", ["0.1", "0", "0"]),
+            ("t", [0.1, 0.2]),
+            ("R", [1, 0, 0, 0, 1, 0, 0, 0, math.nan]),
+            ("R", [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ("R", [10**400, 0, 0, 0, 1, 0, 0, 0, 1]),
+        ],
+    )
+    def test_bad_transform_values(self, field, value):
+        obj = json.loads(dump_calibration(self.make_calibration()))
+        obj["transforms"][0][field] = value
+        with pytest.raises(SchemaError, match="malformed transform object"):
+            parse_calibration(json.dumps(obj))
+
+    @pytest.mark.parametrize("transforms", [5, None, {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1]}])
+    def test_transforms_must_be_a_list(self, transforms):
+        obj = json.loads(dump_calibration(self.make_calibration()))
+        obj["transforms"] = transforms
+        with pytest.raises(SchemaError, match="transforms .* must be a list"):
+            parse_calibration(json.dumps(obj))
 
     def test_non_rotation_transform(self):
         calib = self.make_calibration()
