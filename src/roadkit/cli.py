@@ -27,7 +27,9 @@ from .evaluation import (
     render_report,
 )
 from .formats import (
+    AnnotationRecord,
     DetectionRecord,
+    _parse_kitti,
     _with_fields,
     dataset_stats,
     dump_calibration,
@@ -128,6 +130,16 @@ def _label_files(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.txt"))
 
 
+def _read_labels(path: Path, frame_id: str = "") -> list[AnnotationRecord]:
+    """The records of one kitti_ext file, each carrying frame_id; a fault in
+    the file names it."""
+    text = _read(path)
+    try:
+        return _parse_kitti(text, frame_id)
+    except ValidationError as exc:
+        raise ValidationError(f"{path.name}: {exc}") from exc
+
+
 def _cmd_convert(args) -> int:
     records = parse_labels(_read(args.input), args.from_format)
     Path(args.output).write_text(write_labels(records, args.to_format))
@@ -141,7 +153,7 @@ def _cmd_transform(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for label_file in label_files:
-        records = parse_labels(_read(label_file), "kitti_ext")
+        records = _read_labels(label_file)
         boxes = _transform_boxes(rigid, [record.box3d for record in records])
         moved = [_with_fields(record, box3d=box) for record, box in zip(records, boxes)]
         (out_dir / label_file.name).write_text(write_labels(moved, "kitti_ext"))
@@ -158,13 +170,10 @@ def _cmd_split(args) -> int:
 def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
     detections = {}
     for path in _label_files(pred_dir):
-        records = parse_labels(_read(path), "kitti_ext")
-        out = []
-        for r in records:
-            if not isinstance(r, DetectionRecord):
-                raise ValidationError(f"{path.name}: detection lines must carry a score column")
-            out.append(_with_fields(r, frame_id=path.stem))
-        detections[path.stem] = out
+        records = _read_labels(path, path.stem)
+        if not all(isinstance(r, DetectionRecord) for r in records):
+            raise ValidationError(f"{path.name}: detection lines must carry a score column")
+        detections[path.stem] = records
     # Frame-id order; file-name order puts "a-1.txt" before "a.txt".
     return dict(sorted(detections.items()))
 

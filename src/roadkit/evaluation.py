@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,8 +61,7 @@ def match_frame(
     ignored_gt = frozenset(ignored_gt or ())
     rows, cols = _class_indices(gts, dets, class_name)
     ious = iou3d_matrix([gts[i].box3d for i in rows], [dets[i].box3d for i in cols])
-    ignored = np.array([i in ignored_gt for i in rows], dtype=bool)
-    return _match_ranked(ious, rows, cols, ignored, iou_threshold)
+    return _match_ranked(ious, rows, cols, [i in ignored_gt for i in rows], iou_threshold)
 
 
 def _class_indices(
@@ -85,35 +86,41 @@ def _match_ranked(
     ious: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
-    ignored: np.ndarray,
+    ignored: Sequence[bool],
     iou_threshold: float,
 ) -> MatchResult:
-    """Greedy matching as index work on one class's IoU matrix in one frame.
+    """Greedy matching on one class's IoU matrix in one frame, in plain Python.
 
     ignored masks the don't-care rows. Each column in turn takes the open
     row of highest IoU at or above the threshold, the first such row on
-    ties. Returned indices refer to the original inputs via rows and cols.
+    ties; a column that takes none is ignored when it reaches the threshold
+    on a don't-care row, and a false positive otherwise. Returned indices
+    refer to the original inputs via rows and cols.
     """
     _check_threshold(iou_threshold)
-    hits = ious >= iou_threshold
-    dontcare_hit = np.any(hits[ignored], axis=0)
-    open_rows = ~ignored
+    open_rows = [r for r, dontcare in enumerate(ignored) if not dontcare]
+    dontcare_rows = [r for r, dontcare in enumerate(ignored) if dontcare]
     pairs: list[tuple[int, int, float]] = []
     false_pos: list[int] = []
     ignored_det: list[int] = []
-    for c, di in enumerate(cols):
-        candidates = hits[:, c] & open_rows
-        if candidates.any():
-            r = int(np.argmax(np.where(candidates, ious[:, c], -1.0)))
-            open_rows[r] = False
-            pairs.append((rows[r], di, float(ious[r, c])))
-        elif dontcare_hit[c]:
-            ignored_det.append(di)
+    for di, column in zip(cols, ious.T.tolist()):
+        best_row = -1
+        for r in open_rows:
+            if column[r] >= iou_threshold and (best_row < 0 or column[r] > column[best_row]):
+                best_row = r
+        if best_row >= 0:
+            open_rows.remove(best_row)
+            pairs.append((rows[best_row], di, column[best_row]))
+            continue
+        for r in dontcare_rows:
+            if column[r] >= iou_threshold:
+                ignored_det.append(di)
+                break
         else:
             false_pos.append(di)
     return MatchResult(
         pairs=tuple(pairs),
-        unmatched_gt=tuple(rows[r] for r in np.flatnonzero(open_rows)),
+        unmatched_gt=tuple(rows[r] for r in open_rows),
         unmatched_det=tuple(false_pos),
         ignored_det=tuple(ignored_det),
     )
@@ -159,13 +166,15 @@ def average_precision(curve: PRCurve, interpolation: str = "r40") -> float:
     Interpolated precision at r is the maximum precision at any recall >= r.
     """
     samples = _recall_samples(interpolation)
-    precisions = []
-    for r in samples:
-        best = 0.0
-        for recall, precision in curve.points:
-            if recall >= r and precision > best:
-                best = precision
-        precisions.append(best)
+    # A NaN recall is at or above no sample; the rest, ordered by recall,
+    # give each sample's best precision as a maximum over a suffix.
+    points = sorted((p for p in curve.points if not math.isnan(p[0])), key=itemgetter(0))
+    recalls = [recall for recall, _ in points]
+    best = [0.0] * (len(points) + 1)  # best[i]: the highest precision of points[i:], 0.0 at least
+    for i in range(len(points) - 1, -1, -1):
+        precision = points[i][1]
+        best[i] = precision if precision > best[i + 1] else best[i + 1]
+    precisions = [best[bisect_left(recalls, r)] for r in samples]
     return sum(precisions) / len(samples) * 100.0
 
 
@@ -245,7 +254,7 @@ class EvalReport:
                 per_class_iou={k: _number(v, f"iou of {k!r}") for k, v in doc.get("per_class_iou", {}).items()},
                 interpolation=doc["interpolation"],
             )
-            map3d = {lvl: _number(v, f"map {lvl!r}") for lvl, v in doc["map"].items()}
+            map3d = {lvl: _ap(v, f"map {lvl!r}") for lvl, v in doc["map"].items()}
             cells = {}
             for cls_name, by_level in doc["classes"].items():
                 if set(by_level) != set(map3d):
@@ -256,11 +265,20 @@ class EvalReport:
         return cls(cells, map3d, config.iou_threshold, config.interpolation, config.per_class_iou)
 
 
+def _ap(value, where: str):
+    """An AP or mAP value: a number in [0, 100]."""
+    if not 0.0 <= _number(value, where) <= 100.0:
+        raise ValueError(f"{where} {value!r} is not in [0, 100]")
+    return value
+
+
 def _cell(obj: dict, where: str) -> EvalCell:
     counts = {key: obj[key] for key in ("gt", "tp", "fp", "fn")}
     if not all(_is_whole(n) and n >= 0 for n in counts.values()):
         raise ValueError(f"{where} counts {counts} must be whole numbers, none negative")
-    return EvalCell(ap=_number(obj["ap"], f"{where} ap"), **counts)
+    if not (counts["tp"] <= counts["gt"] and counts["fn"] == counts["gt"] - counts["tp"]):
+        raise ValueError(f"{where} counts {counts} must have tp <= gt and fn == gt - tp")
+    return EvalCell(ap=_ap(obj["ap"], f"{where} ap"), **counts)
 
 
 def _gt_difficulty(annotation: AnnotationRecord) -> DifficultyLevel:
@@ -328,10 +346,10 @@ def evaluate(
     for (dets, difficulties, cls_name, rows, cols, _), ious in zip(groups, matrices):
         for level in DIFFICULTY_RULES:
             # IGNORED ranks above every level, so it is always don't-care.
-            ignored = np.array([difficulties[i] > level for i in rows], dtype=bool)
+            ignored = [difficulties[i] > level for i in rows]
             result = _match_ranked(ious, rows, cols, ignored, config.threshold_for(cls_name))
             cell = flags[(cls_name, level)]
-            npos[(cls_name, level)] += len(rows) - int(np.count_nonzero(ignored))
+            npos[(cls_name, level)] += ignored.count(False)
             for _, di, _ in result.pairs:
                 cell.append((dets[di].score, True))
             for di in result.unmatched_det:

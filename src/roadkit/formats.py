@@ -37,7 +37,7 @@ from .errors import (
     SerializationError,
     ValidationError,
 )
-from .geometry import Box3D, EulerOrientation
+from .geometry import Box3D, EulerOrientation, normalize_angle
 
 
 class Occlusion(enum.IntEnum):
@@ -82,13 +82,64 @@ class DetectionRecord(AnnotationRecord):
             raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
 
+# The builder of records whose values already passed every check. It sets
+# each field as the dataclass __init__ sets it, one object.__setattr__ a
+# field, so a record takes no more memory than a constructed one; only
+# __post_init__, the checks and conversions, is not run.
+_OCCLUSIONS = tuple(Occlusion)
+_set = object.__setattr__
+
+
+def _checked_box(center, dims, yaw: float, pitch: float, roll: float) -> Box3D:
+    """The Box3D and EulerOrientation the constructors make of Python floats
+    that pass their checks: an angle outside (-pi, pi] goes through
+    normalize_angle, and center and dims are stored as tuples."""
+    pi = math.pi
+    orientation = object.__new__(EulerOrientation)
+    _set(orientation, "yaw", yaw if -pi < yaw <= pi else normalize_angle(yaw))
+    _set(orientation, "pitch", pitch if -pi < pitch <= pi else normalize_angle(pitch))
+    _set(orientation, "roll", roll if -pi < roll <= pi else normalize_angle(roll))
+    box = object.__new__(Box3D)
+    _set(box, "center", tuple(center))
+    _set(box, "dims", tuple(dims))
+    _set(box, "orientation", orientation)
+    return box
+
+
+def _checked_record(
+    class_name: str, box3d: Box3D, truncation: float, occlusion, box2d, frame_id: str, score: float | None = None
+) -> AnnotationRecord:
+    """The AnnotationRecord, or DetectionRecord when score is given, that the
+    constructors make of values that pass their checks: truncation and score
+    Python floats, occlusion a whole number (stored as an Occlusion), box2d
+    None or 4 Python floats (stored as a tuple)."""
+    record = object.__new__(AnnotationRecord if score is None else DetectionRecord)
+    _set(record, "class_name", class_name)
+    _set(record, "box3d", box3d)
+    _set(record, "truncation", truncation)
+    _set(record, "occlusion", _OCCLUSIONS[int(occlusion)])
+    _set(record, "box2d", None if box2d is None else tuple(box2d))
+    _set(record, "frame_id", frame_id)
+    if score is not None:
+        _set(record, "score", score)
+    return record
+
+
 def _with_fields(record: AnnotationRecord, **changes) -> AnnotationRecord:
     """dataclasses.replace for class_name, box3d and frame_id, which
     __post_init__ does not check: the record's other fields were checked when
     it was built, and are copied without checking them again."""
-    new = object.__new__(type(record))
-    new.__dict__.update(record.__dict__, **changes)
-    return new
+    fields = dict(
+        class_name=record.class_name,
+        box3d=record.box3d,
+        truncation=record.truncation,
+        occlusion=record.occlusion,
+        box2d=record.box2d,
+        frame_id=record.frame_id,
+        score=getattr(record, "score", None),
+    )
+    fields.update(changes)
+    return _checked_record(**fields)
 
 
 @dataclass(frozen=True)
@@ -165,7 +216,7 @@ _KITTI_COLUMNS = {
 }
 
 
-def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
+def _parse_kitti_line(line: str, line_no: int, frame_id: str = "") -> AnnotationRecord:
     tokens = line.split()
     names = _KITTI_COLUMNS.get(len(tokens))
     if names is None:
@@ -185,6 +236,20 @@ def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
             if not math.isfinite(value):
                 raise ParseError(f"non-finite value {token!r}", line=line_no, field=name)
     truncation, occlusion_value, _alpha, x1, y1, x2, y2, h, w, l, x, y, z, yaw = values[:14]
+    rect = (x1, y1, x2, y2)
+    box2d = None if rect == _NO_BOX2D else rect
+    rest = values[14:]
+    pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
+    score = rest[-1] if len(rest) % 2 else None
+    if (
+        0.0 <= truncation <= 1.0
+        and occlusion_value in (0.0, 1.0, 2.0, 3.0)
+        and h > 0.0 and w > 0.0 and l > 0.0
+        and (score is None or 0.0 <= score <= 1.0)
+    ):
+        box3d = _checked_box((x, y, z), (h, w, l), yaw, pitch, roll)
+        return _checked_record(tokens[0], box3d, truncation, occlusion_value, box2d, frame_id, score)
+    # A value fails a check: the checks below, and the constructors, name it.
     if not (0.0 <= truncation <= 1.0):
         raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
     if not occlusion_value.is_integer():
@@ -195,17 +260,22 @@ def _parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
         occlusion = Occlusion(int(occlusion_value))
     except ValueError:
         raise ValidationError(f"occlusion {tokens[2]!r} out of range 0-3 (line {line_no})")
-    rect = (x1, y1, x2, y2)
-    box2d = None if rect == _NO_BOX2D else rect
-    rest = values[14:]
-    pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
     try:
         box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
-        if len(rest) % 2 == 0:  # no score column
-            return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d)
-        return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=rest[-1])
+        if score is None:
+            return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d, frame_id)
+        return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, frame_id, score)
     except ValidationError as exc:
         raise ValidationError(f"{exc} (line {line_no})") from exc
+
+
+def _parse_kitti(text: str, frame_id: str = "") -> list[AnnotationRecord]:
+    """The records of kitti_ext text, each carrying frame_id."""
+    return [
+        _parse_kitti_line(line, line_no, frame_id)
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
 
 
 # "%.6g" % v gives the bytes of format(float(v), ".6g") for any real v.
@@ -303,6 +373,75 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
         raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
 
 
+def _annotations_in_bulk(fobjs: list) -> list[tuple[AnnotationRecord, ...]] | None:
+    """Every frame's annotations, checked once over the whole document.
+
+    Gathers each annotation's values in one pass, requires JSON numbers of
+    the right count where numbers belong and a string class name, then checks
+    every constructor rule on the whole table at once. Returns None when any
+    of that fails; _annotation_from_dict then walks the document to name the
+    first fault. The records are built from the decoded values themselves,
+    ints converted to floats as the constructors convert them.
+    """
+    try:
+        # Per annotation, 15 numbers: center, dims, yaw, pitch, roll,
+        # truncation, score and box2d, with 0.0 and -1s standing in for an
+        # absent score and box2d; and the occlusion level on its own.
+        numbers, occlusions, frames = [], [], []
+        for fobj in fobjs:
+            items = []  # class_name, has_box2d, has_score of each annotation
+            frames.append((fobj["frame_id"], items))
+            for obj in fobj.get("annotations", []):
+                box = obj["box3d"]
+                center, dims, box2d = box["center"], box["dims"], obj.get("box2d")
+                if not (
+                    type(center) is list and len(center) == 3
+                    and type(dims) is list and len(dims) == 3
+                    and (box2d is None or type(box2d) is list and len(box2d) == 4)
+                    and type(obj["class_name"]) is str
+                ):
+                    return None
+                numbers += center
+                numbers += dims
+                numbers += (
+                    box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0),
+                    obj.get("truncation", 0.0), obj.get("score", 0.0),
+                )
+                numbers += _NO_BOX2D if box2d is None else box2d
+                occlusions.append(obj.get("occlusion", 0))
+                items.append((obj["class_name"], box2d is not None, "score" in obj))
+        types = set(map(type, numbers))
+        if not types | set(map(type, occlusions)) <= {int, float}:  # never a bool, a string or None
+            return None
+        table = np.array(numbers, dtype=float).reshape(-1, 15)
+        levels = np.array(occlusions, dtype=float)
+    except (AttributeError, KeyError, TypeError, OverflowError):
+        return None
+    if not (
+        np.isfinite(table).all()
+        and (table[:, 3:6] > 0.0).all()
+        and ((table[:, 9:11] >= 0.0) & (table[:, 9:11] <= 1.0)).all()  # truncation and score
+        and np.isin(levels, (0.0, 1.0, 2.0, 3.0)).all()
+    ):
+        return None
+    if int in types:
+        numbers = [float(v) for v in numbers]
+    checked, i = [], 0
+    for frame_id, items in frames:
+        annotations = []
+        for class_name, has_box2d, has_score in items:
+            k = 15 * i
+            x, y, z, h, w, l, yaw, pitch, roll, truncation, score = numbers[k : k + 11]
+            box3d = _checked_box((x, y, z), (h, w, l), yaw, pitch, roll)
+            box2d = numbers[k + 11 : k + 15] if has_box2d else None
+            annotations.append(
+                _checked_record(class_name, box3d, truncation, occlusions[i], box2d, frame_id, score if has_score else None)
+            )
+            i += 1
+        checked.append(tuple(annotations))
+    return checked
+
+
 def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
     """Parse label text into annotation (or detection) records.
 
@@ -310,12 +449,7 @@ def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
     each carrying the frame_id of the frame that holds it.
     """
     if fmt == "kitti_ext":
-        records = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            records.append(_parse_kitti_line(line, line_no))
-        return records
+        return _parse_kitti(text)
     if fmt == "manifest_json":
         return [ann for frame in load_manifest(text).frames for ann in frame.annotations]
     raise ValidationError(f"unknown label format {fmt!r}")
@@ -350,6 +484,7 @@ def load_manifest(text: str) -> DatasetManifest:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise SchemaError("manifest document must be an object with a 'frames' list")
+    checked = _annotations_in_bulk(doc["frames"])
     frames = []
     for index, fobj in enumerate(doc["frames"]):
         try:
@@ -359,9 +494,10 @@ def load_manifest(text: str) -> DatasetManifest:
                 raise ValueError(
                     f"image_size {image_size!r} of frame {frame_id!r} must hold whole numbers, two of them, none negative"
                 )
-            annotations = tuple(
-                _annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
-            )
+            if checked is None:
+                annotations = tuple(_annotation_from_dict(a, frame_id) for a in fobj.get("annotations", []))
+            else:
+                annotations = checked[index]
             frames.append(
                 FrameRecord(
                     frame_id=frame_id,

@@ -2,7 +2,9 @@
 # A quick tour of every roadkit command, each run as its own process through
 # `python -m roadkit.cli`: synth, stats, split, eval at two IoU thresholds,
 # compare, convert both ways and transform. Any non-zero exit fails the tour,
-# and so does `eval --pred` on a missing directory exiting other than 2.
+# and so does `eval --pred` on a missing directory exiting other than 2, or
+# `eval` and `transform` on a copy with one corrupted file exiting other than
+# 1 with one stderr line naming that file.
 #
 # Usage, from any directory: bash tests/cli_tour.sh
 set -euo pipefail
@@ -38,4 +40,26 @@ if [ "$code" -ne 2 ]; then
     echo "eval --pred on a missing directory exited $code, not 2" >&2
     exit 1
 fi
+# One corrupted file in a copy of each directory: a score out of range in a
+# detection file, a fractional occlusion in a label file.
+expect_file_fault() {
+    local name=$1 code=0
+    shift
+    echo "+ roadkit $*" >&2
+    python -m roadkit.cli "$@" 2>"$work/err" >/dev/null || code=$?
+    if [ "$code" -ne 1 ] || [ "$(wc -l <"$work/err")" -ne 1 ] || ! grep -q "error: $name: " "$work/err"; then
+        echo "roadkit $1 on a corrupted $name exited $code with stderr:" >&2
+        cat "$work/err" >&2
+        exit 1
+    fi
+}
+cp -r "$corpus/detections" "$work/bad-detections"
+cp -r "$corpus/labels" "$work/bad-labels"
+det=$(ls "$work/bad-detections" | sort | head -n 2 | tail -n 1)
+lab=$(ls "$work/bad-labels" | sort | head -n 2 | tail -n 1)
+sed -i '1s/ [^ ]*$/ 1.5/' "$work/bad-detections/$det"
+sed -i '1s/^\([^ ]* [^ ]*\) [^ ]* /\1 1.5 /' "$work/bad-labels/$lab"
+expect_file_fault "$det" eval --gt "$corpus/manifest.json" --pred "$work/bad-detections"
+expect_file_fault "$lab" transform --calib "$calib" --source camera --target world \
+    --labels "$work/bad-labels" --out "$work/bad-world"
 echo "cli tour passed" >&2

@@ -7,6 +7,7 @@ two independent routes to the same answer.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -18,9 +19,18 @@ import numpy as np
 from roadkit import synth
 from roadkit.camera import BEHIND_CAMERA_EPS, Intrinsics, ProjectedBox, RigidTransform
 from roadkit.datasets import TEST, TRAIN, SplitSpec, _fisher_yates, _fnv1a64
-from roadkit.errors import FrameMismatchError, GenerationError, ParseError, ValidationError
-from roadkit.evaluation import ImprovementTable, MatchResult, ReportRow
+from roadkit.errors import FrameMismatchError, GenerationError, ParseError, SchemaError, ValidationError
+from roadkit.evaluation import (
+    ImprovementTable,
+    MatchResult,
+    PRCurve,
+    ReportRow,
+    _check_threshold,
+    _recall_samples,
+)
 from roadkit.formats import (
+    _KITTI_COLUMNS,
+    _NO_BOX2D,
     AnnotationRecord,
     CalibrationSet,
     DatasetManifest,
@@ -28,6 +38,8 @@ from roadkit.formats import (
     FrameRecord,
     Occlusion,
     _annotation_from_dict,
+    _is_image_size,
+    _string,
 )
 from roadkit.geometry import (
     _PARALLEL_EPS,
@@ -836,6 +848,153 @@ def reference_parse_kitti_line(line: str, line_no: int) -> AnnotationRecord:
     if score is None:
         return AnnotationRecord(**kwargs)
     return DetectionRecord(score=score, **kwargs)
+
+
+def _one_pass_kitti_line(line: str, line_no: int) -> AnnotationRecord:
+    """One kitti_ext line as the one-pass parser read it before records were
+    checked in bulk: every column converted first, each record built through
+    its constructors."""
+    tokens = line.split()
+    names = _KITTI_COLUMNS.get(len(tokens))
+    if names is None:
+        raise ParseError(
+            f"expected 15-18 columns, got {len(tokens)}", line=line_no, field=None
+        )
+    try:
+        values = [float(token) for token in tokens[1:]]
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        for token, name in zip(tokens[1:], names):
+            try:
+                value = float(token)
+            except ValueError:
+                raise ParseError(f"cannot parse {token!r} as a number", line=line_no, field=name)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite value {token!r}", line=line_no, field=name)
+    truncation, occlusion_value, _alpha, x1, y1, x2, y2, h, w, l, x, y, z, yaw = values[:14]
+    if not (0.0 <= truncation <= 1.0):
+        raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
+    if not occlusion_value.is_integer():
+        raise ParseError(
+            f"occlusion {tokens[2]!r} is not an integer", line=line_no, field="occlusion"
+        )
+    try:
+        occlusion = Occlusion(int(occlusion_value))
+    except ValueError:
+        raise ValidationError(f"occlusion {tokens[2]!r} out of range 0-3 (line {line_no})")
+    rect = (x1, y1, x2, y2)
+    box2d = None if rect == _NO_BOX2D else rect
+    rest = values[14:]
+    pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
+    try:
+        box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
+        if len(rest) % 2 == 0:  # no score column
+            return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d)
+        return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=rest[-1])
+    except ValidationError as exc:
+        raise ValidationError(f"{exc} (line {line_no})") from exc
+
+
+def reference_parse_kitti_text(text: str) -> list[AnnotationRecord]:
+    """parse_labels(text, "kitti_ext") one line at a time, every record through its constructors."""
+    return [
+        _one_pass_kitti_line(line, line_no)
+        for line_no, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+
+
+def reference_load_manifest(text: str) -> DatasetManifest:
+    """load_manifest as a walk over the document: each annotation checked and
+    built through _annotation_from_dict and the record constructors."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
+        raise SchemaError("manifest document must be an object with a 'frames' list")
+    frames = []
+    for index, fobj in enumerate(doc["frames"]):
+        try:
+            frame_id = _string(fobj["frame_id"], "frame_id")
+            image_size = fobj.get("image_size", [0, 0])
+            if not _is_image_size(image_size, 0):
+                raise ValueError(
+                    f"image_size {image_size!r} of frame {frame_id!r} must hold whole numbers, two of them, none negative"
+                )
+            annotations = tuple(
+                _annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
+            )
+            frames.append(
+                FrameRecord(
+                    frame_id=frame_id,
+                    image_path=_string(fobj.get("image_path", ""), "image_path"),
+                    image_size=image_size,
+                    calibration_ref=_string(fobj.get("calibration_ref", ""), "calibration_ref"),
+                    annotations=annotations,
+                    tags=tuple((k, _string(v, f"tag {k!r}")) for k, v in fobj.get("tags", {}).items()),
+                )
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed frame object at index {index}: {exc}") from exc
+    name, taxonomy = doc.get("name", ""), doc.get("class_taxonomy", [])
+    if not isinstance(name, str):
+        raise SchemaError(f"manifest name {name!r} is not a string")
+    if not (isinstance(taxonomy, list) and all(isinstance(c, str) for c in taxonomy)):
+        raise SchemaError(f"class_taxonomy {taxonomy!r} must be a list of strings")
+    return DatasetManifest(name=name, class_taxonomy=tuple(taxonomy), frames=tuple(frames))
+
+
+def typed(value):
+    """A value with the type of every part kept beside it, floats by repr, so
+    that == also tells 1 from 1.0, 0.0 from -0.0 and a list from a tuple."""
+    if dataclasses.is_dataclass(value):
+        return (type(value), tuple(typed(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, (tuple, list)):
+        return (type(value), tuple(typed(v) for v in value))
+    return (type(value), repr(value))
+
+
+def reference_match_ranked(ious, rows, cols, ignored, iou_threshold) -> MatchResult:
+    """Greedy matching as numpy index work on one class's IoU matrix."""
+    _check_threshold(iou_threshold)
+    ignored = np.asarray(ignored, dtype=bool)
+    hits = ious >= iou_threshold
+    dontcare_hit = np.any(hits[ignored], axis=0)
+    open_rows = ~ignored
+    pairs = []
+    false_pos = []
+    ignored_det = []
+    for c, di in enumerate(cols):
+        candidates = hits[:, c] & open_rows
+        if candidates.any():
+            r = int(np.argmax(np.where(candidates, ious[:, c], -1.0)))
+            open_rows[r] = False
+            pairs.append((rows[r], di, float(ious[r, c])))
+        elif dontcare_hit[c]:
+            ignored_det.append(di)
+        else:
+            false_pos.append(di)
+    return MatchResult(
+        pairs=tuple(pairs),
+        unmatched_gt=tuple(rows[r] for r in np.flatnonzero(open_rows)),
+        unmatched_det=tuple(false_pos),
+        ignored_det=tuple(ignored_det),
+    )
+
+
+def reference_average_precision(curve: PRCurve, interpolation: str = "r40") -> float:
+    """average_precision scanning every point for each recall sample."""
+    samples = _recall_samples(interpolation)
+    precisions = []
+    for r in samples:
+        best = 0.0
+        for recall, precision in curve.points:
+            if recall >= r and precision > best:
+                best = precision
+        precisions.append(best)
+    return sum(precisions) / len(samples) * 100.0
 
 
 _CORNER_SIGNS = np.array(list(itertools.product((1.0, -1.0), repeat=3)))

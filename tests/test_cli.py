@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from roadkit import cli
 from roadkit.cli import _build_parser, _load_detection_dir, main
 from roadkit.evaluation import EvalReport
-from roadkit.formats import DetectionRecord, load_manifest, parse_labels
+from roadkit.formats import AnnotationRecord, DetectionRecord, load_manifest, parse_labels
+from roadkit.geometry import Box3D, EulerOrientation
+
+from helpers import reference_parse_kitti_text, typed
 
 
 @pytest.fixture()
@@ -273,19 +277,25 @@ class TestEvalCommand:
             f"roadkit eval: error: {first}: detection lines must carry a score column\n"
         )
 
-    def test_detection_records_checked_once(self, corpus, monkeypatch):
-        # Each record is checked when its line is parsed, not again when it
-        # takes its frame id.
+    def test_detection_files_checked_once_in_bulk(self, corpus, monkeypatch):
+        # Each file is read once, its lines checked as they are converted and
+        # its records built with their frame id; no record constructor runs,
+        # neither as a line is read nor as its record takes the frame id.
+        paths = sorted((corpus / "detections").glob("*.txt"))
         expected = {
-            path.stem: [dataclasses.replace(r, frame_id=path.stem) for r in parse_labels(path.read_text())]
-            for path in sorted((corpus / "detections").glob("*.txt"))
+            path.stem: [dataclasses.replace(r, frame_id=path.stem) for r in reference_parse_kitti_text(path.read_text())]
+            for path in paths
         }
-        checks = []
-        check = DetectionRecord.__post_init__
-        monkeypatch.setattr(DetectionRecord, "__post_init__", lambda r: checks.append(check(r)))
+        reads, checks = [], []
+        parse = cli._parse_kitti
+        monkeypatch.setattr(cli, "_parse_kitti", lambda text, frame_id: reads.append(frame_id) or parse(text, frame_id))
+        for cls in (EulerOrientation, Box3D, AnnotationRecord, DetectionRecord):
+            monkeypatch.setattr(cls, "__post_init__", checks.append)
         loaded = _load_detection_dir(corpus / "detections")
-        assert loaded == expected
-        assert len(checks) == sum(map(len, expected.values())) > 0
+        assert checks == []
+        assert reads == [path.stem for path in paths]
+        assert typed(loaded) == typed(expected)
+        assert sum(map(len, loaded.values())) > 0
 
 
 class TestConvertCommand:
@@ -392,8 +402,37 @@ class TestMalformedInputExits1:
         report = tmp_path / "report.json"
         argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(pred), "--out-json", str(report)]
         assert main(argv) == 1
-        _one_error_line(capsys, f"roadkit eval: error: score must be in [0, 1], got {float(score)} (line 2)")
+        _one_error_line(
+            capsys, f"roadkit eval: error: {path.name}: score must be in [0, 1], got {float(score)} (line 2)"
+        )
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "column, token, message",
+        [
+            (2, "1.5", "occlusion '1.5' is not an integer (line 3, field 'occlusion')"),
+            (9, "0", "box dims (h, w, l) must be positive, got"),
+            (1, "x", "cannot parse 'x' as a number (line 3, field 'truncation')"),
+        ],
+    )
+    def test_label_fault_in_transform_names_file_and_line(self, corpus, tmp_path, capsys, column, token, message):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        for path in sorted((corpus / "labels").glob("*.txt")):
+            (labels / path.name).write_text(path.read_text())
+        path = sorted(labels.glob("*.txt"))[1]
+        lines = path.read_text().splitlines()
+        tokens = lines[2].split()
+        tokens[column] = token
+        lines[2] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        manifest = load_manifest((corpus / "manifest.json").read_text())
+        calib = corpus / "calib" / f"{manifest.frames[0].calibration_ref}.json"
+        out = tmp_path / "out"
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(labels), "--out", str(out)]
+        assert main(argv) == 1
+        _one_error_line(capsys, f"roadkit transform: error: {path.name}: {message}", "(line 3")
 
 
 class TestTransformCommand:

@@ -25,6 +25,7 @@ from roadkit.evaluation import (
     match_frame,
     render_report,
 )
+from roadkit.evaluation import _match_ranked
 from roadkit.formats import DatasetManifest, FrameRecord
 from roadkit.synth import NoiseSpec, SceneConfig, corrupt_detections, generate_corpus
 
@@ -32,7 +33,9 @@ from helpers import (
     make_annotation,
     make_detection,
     oracle_evaluate,
+    reference_average_precision,
     reference_match_frame,
+    reference_match_ranked,
     reference_render_report,
     reference_render_table,
 )
@@ -138,6 +141,52 @@ class TestMatchFrame:
             for class_name in (None, "Car", "Truck"):
                 got = match_frame(gts, dets, threshold, class_name, ignored)
                 assert got == reference_match_frame(gts, dets, threshold, class_name, ignored)
+
+
+class TestMatcherAndAPAgainstReference:
+    """The list matcher and the suffix-maximum AP against the numpy matcher
+    and the per-sample scan they replace: results and floats are ==."""
+
+    @staticmethod
+    def _matrices(rng):
+        for _ in range(300):
+            n_rows, n_cols = (int(v) for v in rng.integers(0, 7, 2))
+            kind = rng.integers(0, 3)
+            if kind == 0:  # random
+                ious = rng.uniform(0.0, 1.0, (n_rows, n_cols))
+            else:  # ties: a few levels, the threshold among them
+                ious = rng.choice([0.0, 0.3, 0.5, 0.7, 0.7, 1.0], (n_rows, n_cols))
+            ignored = rng.random(n_rows) < (1.0 if kind == 2 else 0.3)  # kind 2: all don't-care
+            rows = sorted(int(v) for v in rng.choice(50, n_rows, replace=False))
+            cols = [int(v) for v in rng.permutation(60)[:n_cols]]
+            yield ious, rows, cols, ignored
+
+    def test_matcher(self):
+        rng = np.random.default_rng(41)
+        for ious, rows, cols, ignored in self._matrices(rng):
+            for threshold in (0.3, 0.5, 0.7):
+                expected = reference_match_ranked(ious, rows, cols, ignored, threshold)
+                assert _match_ranked(ious, rows, cols, ignored, threshold) == expected
+                assert _match_ranked(ious, rows, cols, list(ignored), threshold) == expected
+
+    def test_matcher_checks_threshold(self):
+        with pytest.raises(ValidationError):
+            _match_ranked(np.zeros((1, 1)), [0], [0], [False], 1.0)
+
+    @pytest.mark.parametrize("interpolation", ["r40", "r11"])
+    def test_average_precision(self, interpolation):
+        rng = np.random.default_rng(43)
+        curves = []
+        for _ in range(200):
+            flags = (rng.random(int(rng.integers(0, 40))) < rng.random()).tolist()
+            curves.append(PRCurve.from_flags(flags, int(rng.integers(1, 30))))  # tied recalls and precisions
+            points = rng.uniform(-0.1, 1.1, (int(rng.integers(0, 12)), 2))
+            curves.append(PRCurve(points=tuple(map(tuple, points.tolist()))))  # hand-built, recall unsorted
+            grid = rng.choice([0.0, 0.25, 0.5, 1.0], (int(rng.integers(0, 12)), 2))
+            curves.append(PRCurve(points=tuple(map(tuple, grid.tolist()))))  # ties on the samples
+        curves.append(PRCurve(points=((math.nan, 1.0), (0.5, math.nan), (1.0, 0.25), (0.25, -0.0))))
+        for curve in curves:
+            assert average_precision(curve, interpolation) == reference_average_precision(curve, interpolation)
 
 
 class TestPRCurveAndAP:
@@ -429,6 +478,44 @@ class TestEvalReportSerialization:
         assert old in text
         with pytest.raises(SchemaError, match="malformed report document"):
             EvalReport.from_json(text.replace(old, new, 1))
+
+    @pytest.mark.parametrize(
+        "cell, match",
+        [
+            ({"ap": 250.0, "gt": 2, "tp": 5, "fp": 0, "fn": 7}, r"'Car' 'easy' counts .* tp <= gt"),
+            ({"ap": 50.0, "gt": 2, "tp": 1, "fp": 0, "fn": 0}, r"'Car' 'easy' counts .* fn == gt - tp"),
+            ({"ap": 100.5, "gt": 2, "tp": 1, "fp": 0, "fn": 1}, r"'Car' 'easy' ap 100.5 is not in \[0, 100\]"),
+            ({"ap": -0.5, "gt": 2, "tp": 1, "fp": 0, "fn": 1}, r"'Car' 'easy' ap -0.5 is not in \[0, 100\]"),
+        ],
+    )
+    def test_contradicting_cell_rejected(self, cell, match):
+        doc = json.loads(EvalReport.from_map_values(10.0, 20.0, 30.0, class_name="Car").to_json())
+        doc["classes"]["Car"]["easy"] = cell
+        with pytest.raises(SchemaError, match=match):
+            EvalReport.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [-3.0, 100.01, -0.0001])
+    def test_map_value_out_of_range_rejected(self, value):
+        doc = json.loads(EvalReport.from_map_values(10.0, 20.0, 30.0).to_json())
+        doc["map"]["moderate"] = value
+        with pytest.raises(SchemaError, match=rf"map 'moderate' {value} is not in \[0, 100\]"):
+            EvalReport.from_json(json.dumps(doc))
+
+    def test_evaluated_reports_and_fixtures_load(self):
+        # Every report evaluate writes holds its own rules: from the perfect
+        # detector (AP 100) to the empty one (AP 0), and every fixture.
+        manifest, calibrations = generate_corpus(SceneConfig(objects_per_frame=(3, 8)), 6, seed=11)
+        for noise in (NoiseSpec(), NoiseSpec(drop_rate=1.0), NoiseSpec(center_sigma=0.5, fp_rate=2.0)):
+            detections = {
+                frame.frame_id: corrupt_detections(frame, noise, seed=i, config=SceneConfig(objects_per_frame=(3, 8)))
+                for i, frame in enumerate(manifest.frames)
+            }
+            for interpolation in ("r40", "r11"):
+                report = evaluate(manifest, detections, EvalConfig(interpolation=interpolation))
+                assert EvalReport.from_json(report.to_json()) == report
+        for values in [(0.0, 0.0, 0.0), (100.0, 100.0, 100.0), (2.09, 2.62, 2.61), (6.60, 8.60, 8.65)]:
+            report = EvalReport.from_map_values(*values)
+            assert EvalReport.from_json(report.to_json()) == report
 
     def test_whole_number_values_load(self):
         report = EvalReport.from_map_values(10.0, 20.0, 30.0)

@@ -31,7 +31,8 @@ from roadkit.formats import (
     remap_classes,
     write_labels,
 )
-from roadkit.formats import _parse_kitti_line, _with_fields
+from roadkit import formats
+from roadkit.formats import _annotations_in_bulk, _parse_kitti_line, _with_fields
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
 from helpers import (
@@ -40,7 +41,10 @@ from helpers import (
     reference_copy_record,
     reference_dump_manifest,
     reference_kitti_line,
+    reference_load_manifest,
     reference_parse_kitti_line,
+    reference_parse_kitti_text,
+    typed,
 )
 
 
@@ -324,6 +328,162 @@ class TestKittiParserAgainstReference:
         with pytest.raises(ParseError) as got:
             _parse_kitti_line(line, 3)
         assert (got.value.line, got.value.field) == (3, field)
+
+
+def _read_outcome(read, text: str):
+    """The records read, with every field's type, or the fault's type and message."""
+    try:
+        return typed(read(text))
+    except ValidationError as exc:
+        return (type(exc), str(exc))
+
+
+# Values that a reader must take as the constructors take them, or reject
+# with the constructors' message: bools, strings and null; NaN, infinities and
+# an int too large for a float; an int that rounds as a float; ints where
+# floats belong; -0.0; angles outside (-pi, pi] and on its ends; truncation,
+# occlusion, dims and score outside their ranges; box2d of the wrong length.
+_EDGE_VALUES = (
+    True, False, "1.0", None, math.nan, math.inf, -math.inf, 10**400, 2**53 + 1, 3, 0, 1, -0.0,
+    4.0, -math.pi, math.pi, 7 * math.pi, 1.5, 1.0, 2, 4, 0.0, [1.0, 2.0, 3.0], [1, 2, 3, 4], {},
+)
+_ANNOTATION_PATHS = (
+    ("box3d", "center", 0), ("box3d", "center", 2), ("box3d", "dims", 1), ("box3d", "center"),
+    ("box3d", "dims"), ("box3d", "yaw"), ("box3d", "pitch"), ("box3d", "roll"), ("box3d",),
+    ("truncation",), ("occlusion",), ("score",), ("box2d",), ("box2d", 3), ("class_name",),
+)
+# kitti_ext tokens: the same cases as text, plus tokens float() refuses.
+_EDGE_TOKENS = (
+    "True", "abc", "nan", "-inf", "inf", "1e400", "9007199254740993", "3", "0", "1", "-0.0",
+    "4.0", repr(-math.pi), repr(math.pi), repr(7 * math.pi), "1.5", "1.0", "2", "4", "-1",
+)
+
+
+def _manifest_doc(rng: np.random.Generator) -> dict:
+    frames = []
+    for f in range(3):
+        records = [random_record(rng, with_score=bool(rng.random() < 0.5)) for _ in range(3)]
+        frames.append(FrameRecord(f"f{f}", image_size=(1920, 1080), annotations=tuple(records)))
+    manifest = DatasetManifest(name="m", class_taxonomy=("Bus", "Car", "Pedestrian", "Truck"), frames=tuple(frames))
+    return json.loads(dump_manifest(manifest))
+
+
+_MISSING = object()
+
+
+def _set_path(obj, path, value):
+    """Set the value at a key path, or delete its last key for _MISSING."""
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _MISSING:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+
+
+class TestBulkReadersAgainstReference:
+    """load_manifest and kitti_ext parse_labels against the walks they replace:
+    the same records with the same field types, or the same fault."""
+
+    def test_manifest_values(self):
+        rng = np.random.default_rng(17)
+        for path in _ANNOTATION_PATHS:
+            for value in (*_EDGE_VALUES, _MISSING):
+                doc = _manifest_doc(rng)
+                frame, index = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+                annotation = doc["frames"][frame]["annotations"][index]
+                if path[0] == "box2d" and len(path) > 1 and annotation["box2d"] is None:
+                    annotation["box2d"] = [1.0, 2.0, 3.0, 4.0]
+                if path == ("score",) and "score" not in annotation:
+                    annotation["score"] = 0.5
+                _set_path(annotation, path, value)
+                text = json.dumps(doc)
+                expected = _read_outcome(reference_load_manifest, text)
+                assert _read_outcome(load_manifest, text) == expected, (path, value)
+                # The walk runs only on a document with a faulty annotation.
+                bulk = _annotations_in_bulk(json.loads(text)["frames"])
+                assert (bulk is None) == (expected[0] is SchemaError), (path, value)
+
+    def test_manifest_ints_and_defaults(self):
+        # Ints everywhere a number belongs, and every optional key left out.
+        doc = _manifest_doc(np.random.default_rng(3))
+        for frame in doc["frames"]:
+            for annotation in frame["annotations"]:
+                box = annotation["box3d"]
+                box["center"] = [int(v) for v in box["center"]]
+                box["dims"] = [int(v) + 1 for v in box["dims"]]
+                box["yaw"] = 5
+                annotation["box2d"] = [1, 2, 3, 4] if annotation["box2d"] else None
+                annotation["truncation"] = 1
+        doc["frames"][0]["annotations"][0] = {"class_name": "Car", "box3d": {"center": [1, 2, 3], "dims": [1, 1, 1]}}
+        text = json.dumps(doc)
+        assert _read_outcome(load_manifest, text) == _read_outcome(reference_load_manifest, text)
+        assert _annotations_in_bulk(json.loads(text)["frames"]) is not None
+
+    def test_manifest_structure(self):
+        doc = _manifest_doc(np.random.default_rng(5))
+        cases = [
+            ("annotations", "not a list"), ("annotations", {"box3d": 1}), ("annotations", [[]]),
+            ("annotations", None), ("frame_id", 5), ("image_size", [1.5, 2]),
+        ]
+        for key, value in cases:
+            bad = json.loads(json.dumps(doc))
+            bad["frames"][1][key] = value
+            text = json.dumps(bad)
+            assert _read_outcome(load_manifest, text) == _read_outcome(reference_load_manifest, text), (key, value)
+        for frame in (5, [], "f", None):
+            bad = json.loads(json.dumps(doc))
+            bad["frames"][2] = frame
+            text = json.dumps(bad)
+            assert _read_outcome(load_manifest, text) == _read_outcome(reference_load_manifest, text), frame
+
+    def test_manifest_walk_names_the_first_fault(self):
+        # Faults in two frames: the document order decides which is named.
+        doc = _manifest_doc(np.random.default_rng(7))
+        doc["frames"][1]["annotations"][2]["truncation"] = 1.5
+        doc["frames"][2]["annotations"][0]["box3d"]["dims"][0] = 0
+        text = json.dumps(doc)
+        with pytest.raises(SchemaError, match=r"frame 'f1'.*truncation must be in \[0, 1\], got 1.5"):
+            load_manifest(text)
+        assert _read_outcome(load_manifest, text) == _read_outcome(reference_load_manifest, text)
+
+    def test_kitti_tokens(self):
+        rng = np.random.default_rng(23)
+        records = [random_record(rng, with_score=bool(rng.random() < 0.5)) for _ in range(8)]
+        lines = write_labels(records).splitlines()
+        # Mixed column counts in one file: 15, 16, 17 and 18 columns.
+        lines[0] = " ".join(lines[0].split()[:15])
+        lines[1] = " ".join(lines[1].split()[:15] + ["0.5"])
+        lines[2] = " ".join(lines[2].split()[:17])
+        lines.insert(3, "")
+        for column in range(1, 18):
+            for token in _EDGE_TOKENS:
+                index = int(rng.integers(0, len(lines)))
+                tokens = lines[index].split()
+                if not tokens:
+                    continue
+                mutated = list(lines)
+                mutated[index] = " ".join(tokens[:column] + [token] + tokens[column + 1:])
+                text = "\n".join(mutated) + "\n"
+                expected = _read_outcome(reference_parse_kitti_text, text)
+                assert _read_outcome(parse_labels, text) == expected, (index, column, token)
+
+    def test_valid_input_builds_no_record_through_a_constructor(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        doc = _manifest_doc(rng)
+        doc["frames"][0]["annotations"][0]["box3d"]["yaw"] = 7 * math.pi
+        manifest_text = json.dumps(doc)
+        kitti_text = write_labels([random_record(rng, with_score=i % 2 == 0) for i in range(6)])
+        expected = (_read_outcome(reference_load_manifest, manifest_text),
+                    _read_outcome(reference_parse_kitti_text, kitti_text))
+        checks = []
+        for cls in (EulerOrientation, Box3D, AnnotationRecord, DetectionRecord):
+            monkeypatch.setattr(cls, "__post_init__", checks.append)
+        monkeypatch.setattr(formats, "_annotation_from_dict", checks.append)
+        got = (_read_outcome(load_manifest, manifest_text), _read_outcome(parse_labels, kitti_text))
+        assert checks == []
+        assert got == expected
+        assert load_manifest(manifest_text).frames[0].annotations[0].box3d.orientation.yaw == math.pi
 
 
 class TestKittiWriting:
