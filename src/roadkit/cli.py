@@ -149,14 +149,18 @@ def _cmd_convert(args) -> int:
 def _cmd_transform(args) -> int:
     calibration = parse_calibration(_read(args.calib))
     rigid = calibration.transform(args.source, args.target)
-    label_files = _label_files(Path(args.labels))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for label_file in label_files:
+    # Every file is read and moved before --out is made, so a fault in any
+    # of them leaves no output behind.
+    texts = {}
+    for label_file in _label_files(Path(args.labels)):
         records = _read_labels(label_file)
         boxes = _transform_boxes(rigid, [record.box3d for record in records])
         moved = [_with_fields(record, box3d=box) for record, box in zip(records, boxes)]
-        (out_dir / label_file.name).write_text(write_labels(moved, "kitti_ext"))
+        texts[label_file.name] = write_labels(moved, "kitti_ext")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out_dir / name).write_text(text)
     return 0
 
 

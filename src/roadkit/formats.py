@@ -82,18 +82,32 @@ class DetectionRecord(AnnotationRecord):
             raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
 
-# The builder of records whose values already passed every check. It sets
-# each field as the dataclass __init__ sets it, one object.__setattr__ a
-# field, so a record takes no more memory than a constructed one; only
-# __post_init__, the checks and conversions, is not run.
+# The gate every reader's record goes through: _valid_record checks the
+# record rules on Python floats and, when they hold, builds the record as the
+# dataclass __init__ sets it, one object.__setattr__ a field, so a record
+# takes no more memory than a constructed one; only __post_init__, the checks
+# and conversions, is not run.
 _OCCLUSIONS = tuple(Occlusion)
 _set = object.__setattr__
 
 
-def _checked_box(center, dims, yaw: float, pitch: float, roll: float) -> Box3D:
-    """The Box3D and EulerOrientation the constructors make of Python floats
-    that pass their checks: an angle outside (-pi, pi] goes through
-    normalize_angle, and center and dims are stored as tuples."""
+def _valid_record(
+    class_name: str, center, dims, yaw: float, pitch: float, roll: float,
+    truncation: float, occlusion: float, box2d, frame_id: str, score: float | None,
+) -> AnnotationRecord | None:
+    """The record the constructors make of finite Python floats, or None when
+    one fails a record rule: truncation in [0, 1], occlusion a level 0-3, h,
+    w and l positive, and score, when given, in [0, 1]. An angle outside
+    (-pi, pi] goes through normalize_angle; center and dims are stored as
+    tuples."""
+    h, w, l = dims
+    if not (
+        0.0 <= truncation <= 1.0
+        and occlusion in (0.0, 1.0, 2.0, 3.0)
+        and h > 0.0 and w > 0.0 and l > 0.0
+        and (score is None or 0.0 <= score <= 1.0)
+    ):
+        return None
     pi = math.pi
     orientation = object.__new__(EulerOrientation)
     _set(orientation, "yaw", yaw if -pi < yaw <= pi else normalize_angle(yaw))
@@ -103,7 +117,7 @@ def _checked_box(center, dims, yaw: float, pitch: float, roll: float) -> Box3D:
     _set(box, "center", tuple(center))
     _set(box, "dims", tuple(dims))
     _set(box, "orientation", orientation)
-    return box
+    return _checked_record(class_name, box, truncation, occlusion, box2d, frame_id, score)
 
 
 def _checked_record(
@@ -241,14 +255,11 @@ def _parse_kitti_line(line: str, line_no: int, frame_id: str = "") -> Annotation
     rest = values[14:]
     pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
     score = rest[-1] if len(rest) % 2 else None
-    if (
-        0.0 <= truncation <= 1.0
-        and occlusion_value in (0.0, 1.0, 2.0, 3.0)
-        and h > 0.0 and w > 0.0 and l > 0.0
-        and (score is None or 0.0 <= score <= 1.0)
-    ):
-        box3d = _checked_box((x, y, z), (h, w, l), yaw, pitch, roll)
-        return _checked_record(tokens[0], box3d, truncation, occlusion_value, box2d, frame_id, score)
+    record = _valid_record(
+        tokens[0], (x, y, z), (h, w, l), yaw, pitch, roll, truncation, occlusion_value, box2d, frame_id, score
+    )
+    if record is not None:
+        return record
     # A value fails a check: the checks below, and the constructors, name it.
     if not (0.0 <= truncation <= 1.0):
         raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
@@ -340,7 +351,48 @@ def _numbers(values, field: str) -> tuple:
     return values
 
 
+_NUMBER_TYPES = frozenset((int, float))  # a JSON number: never a bool, a string or None
+
+
 def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
+    """The record of one manifest annotation object.
+
+    Center, dims and box2d lists of 3, 3 and 4 values, a string class name,
+    and JSON numbers wherever numbers belong, each finite as a float, go
+    through _valid_record. An annotation that fails any of that, or a record
+    rule, goes through _annotation_walk, which names the fault.
+    """
+    record = None
+    try:
+        box = obj["box3d"]
+        center, dims, box2d, class_name = box["center"], box["dims"], obj.get("box2d"), obj["class_name"]
+        numbers = [
+            *center, *dims, box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0),
+            obj.get("truncation", 0.0), obj.get("occlusion", 0), obj.get("score", 0.0), *(box2d or ()),
+        ]
+        if (
+            type(center) is list and len(center) == 3
+            and type(dims) is list and len(dims) == 3
+            and (box2d is None or type(box2d) is list and len(box2d) == 4)
+            and type(class_name) is str
+            and _NUMBER_TYPES.issuperset(map(type, numbers))
+        ):
+            numbers = list(map(float, numbers))  # an int too large for a float overflows
+            if all(map(math.isfinite, numbers)):
+                x, y, z, h, w, l, yaw, pitch, roll, truncation, occlusion, score = numbers[:12]
+                record = _valid_record(
+                    class_name, (x, y, z), (h, w, l), yaw, pitch, roll, truncation, occlusion,
+                    None if box2d is None else numbers[12:], frame_id, score if "score" in obj else None,
+                )
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _annotation_walk(obj, frame_id) if record is None else record
+
+
+def _annotation_walk(obj: dict, frame_id: str) -> AnnotationRecord:
+    """The record of one manifest annotation object built through the
+    constructors, each value checked in turn; a fault is a SchemaError that
+    names it."""
     # A value of the wrong kind is a KeyError, TypeError, ValueError or
     # OverflowError: a missing key, a string, bool or non-finite value where a
     # number belongs, an unknown or fractional occlusion level, or an int too
@@ -371,75 +423,6 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
         return AnnotationRecord(**kwargs)
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
-
-
-def _annotations_in_bulk(fobjs: list) -> list[tuple[AnnotationRecord, ...]] | None:
-    """Every frame's annotations, checked once over the whole document.
-
-    Gathers each annotation's values in one pass, requires JSON numbers of
-    the right count where numbers belong and a string class name, then checks
-    every constructor rule on the whole table at once. Returns None when any
-    of that fails; _annotation_from_dict then walks the document to name the
-    first fault. The records are built from the decoded values themselves,
-    ints converted to floats as the constructors convert them.
-    """
-    try:
-        # Per annotation, 15 numbers: center, dims, yaw, pitch, roll,
-        # truncation, score and box2d, with 0.0 and -1s standing in for an
-        # absent score and box2d; and the occlusion level on its own.
-        numbers, occlusions, frames = [], [], []
-        for fobj in fobjs:
-            items = []  # class_name, has_box2d, has_score of each annotation
-            frames.append((fobj["frame_id"], items))
-            for obj in fobj.get("annotations", []):
-                box = obj["box3d"]
-                center, dims, box2d = box["center"], box["dims"], obj.get("box2d")
-                if not (
-                    type(center) is list and len(center) == 3
-                    and type(dims) is list and len(dims) == 3
-                    and (box2d is None or type(box2d) is list and len(box2d) == 4)
-                    and type(obj["class_name"]) is str
-                ):
-                    return None
-                numbers += center
-                numbers += dims
-                numbers += (
-                    box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0),
-                    obj.get("truncation", 0.0), obj.get("score", 0.0),
-                )
-                numbers += _NO_BOX2D if box2d is None else box2d
-                occlusions.append(obj.get("occlusion", 0))
-                items.append((obj["class_name"], box2d is not None, "score" in obj))
-        types = set(map(type, numbers))
-        if not types | set(map(type, occlusions)) <= {int, float}:  # never a bool, a string or None
-            return None
-        table = np.array(numbers, dtype=float).reshape(-1, 15)
-        levels = np.array(occlusions, dtype=float)
-    except (AttributeError, KeyError, TypeError, OverflowError):
-        return None
-    if not (
-        np.isfinite(table).all()
-        and (table[:, 3:6] > 0.0).all()
-        and ((table[:, 9:11] >= 0.0) & (table[:, 9:11] <= 1.0)).all()  # truncation and score
-        and np.isin(levels, (0.0, 1.0, 2.0, 3.0)).all()
-    ):
-        return None
-    if int in types:
-        numbers = [float(v) for v in numbers]
-    checked, i = [], 0
-    for frame_id, items in frames:
-        annotations = []
-        for class_name, has_box2d, has_score in items:
-            k = 15 * i
-            x, y, z, h, w, l, yaw, pitch, roll, truncation, score = numbers[k : k + 11]
-            box3d = _checked_box((x, y, z), (h, w, l), yaw, pitch, roll)
-            box2d = numbers[k + 11 : k + 15] if has_box2d else None
-            annotations.append(
-                _checked_record(class_name, box3d, truncation, occlusions[i], box2d, frame_id, score if has_score else None)
-            )
-            i += 1
-        checked.append(tuple(annotations))
-    return checked
 
 
 def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
@@ -484,7 +467,6 @@ def load_manifest(text: str) -> DatasetManifest:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise SchemaError("manifest document must be an object with a 'frames' list")
-    checked = _annotations_in_bulk(doc["frames"])
     frames = []
     for index, fobj in enumerate(doc["frames"]):
         try:
@@ -494,10 +476,7 @@ def load_manifest(text: str) -> DatasetManifest:
                 raise ValueError(
                     f"image_size {image_size!r} of frame {frame_id!r} must hold whole numbers, two of them, none negative"
                 )
-            if checked is None:
-                annotations = tuple(_annotation_from_dict(a, frame_id) for a in fobj.get("annotations", []))
-            else:
-                annotations = checked[index]
+            annotations = tuple(_annotation_from_dict(a, frame_id) for a in fobj.get("annotations", []))
             frames.append(
                 FrameRecord(
                     frame_id=frame_id,

@@ -4,7 +4,8 @@
 # compare, convert both ways and transform. Any non-zero exit fails the tour,
 # and so does `eval --pred` on a missing directory exiting other than 2, or
 # `eval` and `transform` on a copy with one corrupted file exiting other than
-# 1 with one stderr line naming that file.
+# 1 with one stderr line naming that file, or that `transform` leaving its
+# --out directory behind.
 #
 # Usage, from any directory: bash tests/cli_tour.sh
 set -euo pipefail
@@ -62,4 +63,8 @@ sed -i '1s/^\([^ ]* [^ ]*\) [^ ]* /\1 1.5 /' "$work/bad-labels/$lab"
 expect_file_fault "$det" eval --gt "$corpus/manifest.json" --pred "$work/bad-detections"
 expect_file_fault "$lab" transform --calib "$calib" --source camera --target world \
     --labels "$work/bad-labels" --out "$work/bad-world"
+if [ -e "$work/bad-world" ]; then
+    echo "roadkit transform on a corrupted $lab left $work/bad-world behind" >&2
+    exit 1
+fi
 echo "cli tour passed" >&2

@@ -37,9 +37,7 @@ from roadkit.formats import (
     DetectionRecord,
     FrameRecord,
     Occlusion,
-    _annotation_from_dict,
     _is_image_size,
-    _string,
 )
 from roadkit.geometry import (
     _PARALLEL_EPS,
@@ -661,7 +659,61 @@ def reference_copy_record(record: AnnotationRecord, frame_id: str, class_name: s
     }
     if isinstance(record, DetectionRecord):
         obj["score"] = record.score
-    return _annotation_from_dict(obj, frame_id)
+    return reference_annotation_from_dict(obj, frame_id)
+
+
+def _is_json_number(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _json_number(value, field: str):
+    if not _is_json_number(value):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return value
+
+
+def _json_string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} {value!r} is not a string")
+    return value
+
+
+def _json_numbers(values, field: str) -> tuple:
+    values = tuple(values)
+    if not all(map(_is_json_number, values)):
+        raise ValueError(f"{field} must hold finite numbers, got {list(values)!r}")
+    return values
+
+
+def reference_annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
+    """One manifest annotation object built through the record constructors,
+    each value checked in turn; a fault is a SchemaError that names it."""
+    try:
+        box = obj["box3d"]
+        box3d = Box3D(
+            center=_json_numbers(box["center"], "center"),
+            dims=_json_numbers(box["dims"], "dims"),
+            orientation=EulerOrientation(
+                *_json_numbers((box.get("yaw", 0.0), box.get("pitch", 0.0), box.get("roll", 0.0)), "yaw, pitch, roll")
+            ),
+        )
+        occlusion = obj.get("occlusion", 0)
+        if not (_is_json_number(occlusion) and (type(occlusion) is int or occlusion.is_integer())):
+            raise ValueError(f"occlusion {occlusion!r} is not a whole number")
+        box2d = obj.get("box2d")
+        kwargs = dict(
+            class_name=_json_string(obj["class_name"], "class_name"),
+            truncation=float(_json_number(obj.get("truncation", 0.0), "truncation")),
+            occlusion=Occlusion(int(occlusion)),
+            box2d=_json_numbers(box2d, "box2d") if box2d is not None else None,
+            box3d=box3d,
+            frame_id=frame_id,
+        )
+        if "score" in obj:
+            return DetectionRecord(score=float(_json_number(obj["score"], "score")), **kwargs)
+        return AnnotationRecord(**kwargs)
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
 
 
 def reference_dump_manifest(manifest: DatasetManifest) -> str:
@@ -907,7 +959,7 @@ def reference_parse_kitti_text(text: str) -> list[AnnotationRecord]:
 
 def reference_load_manifest(text: str) -> DatasetManifest:
     """load_manifest as a walk over the document: each annotation checked and
-    built through _annotation_from_dict and the record constructors."""
+    built through reference_annotation_from_dict and the record constructors."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -917,23 +969,23 @@ def reference_load_manifest(text: str) -> DatasetManifest:
     frames = []
     for index, fobj in enumerate(doc["frames"]):
         try:
-            frame_id = _string(fobj["frame_id"], "frame_id")
+            frame_id = _json_string(fobj["frame_id"], "frame_id")
             image_size = fobj.get("image_size", [0, 0])
             if not _is_image_size(image_size, 0):
                 raise ValueError(
                     f"image_size {image_size!r} of frame {frame_id!r} must hold whole numbers, two of them, none negative"
                 )
             annotations = tuple(
-                _annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
+                reference_annotation_from_dict(a, frame_id) for a in fobj.get("annotations", [])
             )
             frames.append(
                 FrameRecord(
                     frame_id=frame_id,
-                    image_path=_string(fobj.get("image_path", ""), "image_path"),
+                    image_path=_json_string(fobj.get("image_path", ""), "image_path"),
                     image_size=image_size,
-                    calibration_ref=_string(fobj.get("calibration_ref", ""), "calibration_ref"),
+                    calibration_ref=_json_string(fobj.get("calibration_ref", ""), "calibration_ref"),
                     annotations=annotations,
-                    tags=tuple((k, _string(v, f"tag {k!r}")) for k, v in fobj.get("tags", {}).items()),
+                    tags=tuple((k, _json_string(v, f"tag {k!r}")) for k, v in fobj.get("tags", {}).items()),
                 )
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -433,6 +433,7 @@ class TestMalformedInputExits1:
                 "--labels", str(labels), "--out", str(out)]
         assert main(argv) == 1
         _one_error_line(capsys, f"roadkit transform: error: {path.name}: {message}", "(line 3")
+        assert not out.exists()
 
 
 class TestTransformCommand:
@@ -631,10 +632,12 @@ class TestUndecodableFileExits1:
         labels.mkdir()
         (labels / "a.txt").write_bytes(self.BYTES)
         calib = sorted((corpus / "calib").glob("*.json"))[0]
+        out = tmp_path / "out"
         argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
-                "--labels", str(labels), "--out", str(tmp_path / "out")]
+                "--labels", str(labels), "--out", str(out)]
         assert main(argv) == 1
         _one_error_line(capsys, "roadkit transform: error:", "is not text")
+        assert not out.exists()
 
     def test_compare_report(self, corpus, tmp_path, capsys):
         baseline, treatment = _two_reports(corpus, tmp_path)

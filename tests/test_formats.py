@@ -32,7 +32,7 @@ from roadkit.formats import (
     write_labels,
 )
 from roadkit import formats
-from roadkit.formats import _annotations_in_bulk, _parse_kitti_line, _with_fields
+from roadkit.formats import _parse_kitti_line, _with_fields
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
 from helpers import (
@@ -385,7 +385,18 @@ class TestBulkReadersAgainstReference:
     """load_manifest and kitti_ext parse_labels against the walks they replace:
     the same records with the same field types, or the same fault."""
 
-    def test_manifest_values(self):
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The frame ids of the annotations load_manifest sends through the
+        constructor walk, in call order."""
+        calls = []
+        walk = formats._annotation_walk
+        monkeypatch.setattr(
+            formats, "_annotation_walk", lambda obj, frame_id: calls.append(frame_id) or walk(obj, frame_id)
+        )
+        return calls
+
+    def test_manifest_values(self, walks):
         rng = np.random.default_rng(17)
         for path in _ANNOTATION_PATHS:
             for value in (*_EDGE_VALUES, _MISSING):
@@ -399,12 +410,12 @@ class TestBulkReadersAgainstReference:
                 _set_path(annotation, path, value)
                 text = json.dumps(doc)
                 expected = _read_outcome(reference_load_manifest, text)
+                walks.clear()
                 assert _read_outcome(load_manifest, text) == expected, (path, value)
-                # The walk runs only on a document with a faulty annotation.
-                bulk = _annotations_in_bulk(json.loads(text)["frames"])
-                assert (bulk is None) == (expected[0] is SchemaError), (path, value)
+                # The walk runs once, on the faulty annotation, and never on a valid one.
+                assert walks == ([f"f{frame}"] if expected[0] is SchemaError else []), (path, value)
 
-    def test_manifest_ints_and_defaults(self):
+    def test_manifest_ints_and_defaults(self, walks):
         # Ints everywhere a number belongs, and every optional key left out.
         doc = _manifest_doc(np.random.default_rng(3))
         for frame in doc["frames"]:
@@ -418,7 +429,7 @@ class TestBulkReadersAgainstReference:
         doc["frames"][0]["annotations"][0] = {"class_name": "Car", "box3d": {"center": [1, 2, 3], "dims": [1, 1, 1]}}
         text = json.dumps(doc)
         assert _read_outcome(load_manifest, text) == _read_outcome(reference_load_manifest, text)
-        assert _annotations_in_bulk(json.loads(text)["frames"]) is not None
+        assert walks == []
 
     def test_manifest_structure(self):
         doc = _manifest_doc(np.random.default_rng(5))
@@ -479,7 +490,7 @@ class TestBulkReadersAgainstReference:
         checks = []
         for cls in (EulerOrientation, Box3D, AnnotationRecord, DetectionRecord):
             monkeypatch.setattr(cls, "__post_init__", checks.append)
-        monkeypatch.setattr(formats, "_annotation_from_dict", checks.append)
+        monkeypatch.setattr(formats, "_annotation_walk", checks.append)
         got = (_read_outcome(load_manifest, manifest_text), _read_outcome(parse_labels, kitti_text))
         assert checks == []
         assert got == expected
