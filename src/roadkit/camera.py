@@ -195,23 +195,20 @@ def transform_box(
 def _transform_boxes(extrinsics: RigidTransform, boxes: Sequence[Box3D]) -> list[Box3D]:
     """transform_box of each box, raising the first rejected rotation's fault."""
     centers, rotations, _ = _box_arrays(boxes)
-    moved, fault = _move_boxes(extrinsics, centers, [box.dims for box in boxes], rotations)
-    if fault is not None:
-        raise ValidationError(fault)
-    return moved
+    return _move_boxes(extrinsics, centers, [box.dims for box in boxes], rotations)
 
 
 def _move_boxes(
     extrinsics: RigidTransform, centers: np.ndarray, dims: Sequence, rotations: np.ndarray
-) -> tuple[list[Box3D], str | None]:
+) -> list[Box3D]:
     """Move boxes, given as (N, 3) centers, (h, w, l) rows and (N, 3, 3)
     rotations, into the transform's target frame with the bits of one box at a time.
 
     Each center goes through extrinsics.apply as a stacked 1x3 row, which
     gets the bits of one point, and each rotation through the same 3x3
-    product. Returns the boxes before the first moved rotation
-    validate_rotation would reject, and that rejection's message, or None
-    when it rejects none.
+    product. Raises the first moved rotation validate_rotation would reject as
+    a ValidationError, after building the boxes before it, so that a fault of
+    one of those boxes comes first, as it does one box at a time.
     """
     centers = extrinsics.apply(centers[:, None, :])[:, 0]
     rotations = np.matmul(extrinsics.rotation, rotations)
@@ -220,7 +217,9 @@ def _move_boxes(
         Box3D(center=center, dims=size, orientation=EulerOrientation(*_euler_angles(rot)))
         for center, size, rot in zip(centers[:stop].tolist(), dims, rotations[:stop].tolist())
     ]
-    return moved, fault
+    if fault is not None:
+        raise ValidationError(fault)
+    return moved
 
 
 @dataclass(frozen=True)

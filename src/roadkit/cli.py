@@ -103,8 +103,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--objects", type=_object_range, default=None, help="min,max objects per frame")
-    p.add_argument("--max-range", type=float, default=None)
+    p.add_argument(
+        "--objects", type=_object_range, default=SceneConfig.objects_per_frame,
+        help="min,max objects per frame",
+    )
+    p.add_argument("--max-range", type=float, default=SceneConfig.max_range)
     p.add_argument("--drop-rate", type=float, default=0.0)
     p.add_argument("--fp-rate", type=float, default=0.0)
     p.add_argument("--center-sigma", type=float, default=0.0)
@@ -178,8 +181,7 @@ def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
         if not all(isinstance(r, DetectionRecord) for r in records):
             raise ValidationError(f"{path.name}: detection lines must carry a score column")
         detections[path.stem] = records
-    # Frame-id order; file-name order puts "a-1.txt" before "a.txt".
-    return dict(sorted(detections.items()))
+    return detections
 
 
 def _cmd_eval(args) -> int:
@@ -201,12 +203,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    kwargs = {}
-    if args.objects is not None:
-        kwargs["objects_per_frame"] = args.objects
-    if args.max_range is not None:
-        kwargs["max_range"] = args.max_range
-    config = SceneConfig(**kwargs)
+    config = SceneConfig(objects_per_frame=args.objects, max_range=args.max_range)
     noise = NoiseSpec(
         drop_rate=args.drop_rate,
         fp_rate=args.fp_rate,
@@ -215,6 +212,12 @@ def _cmd_synth(args) -> int:
         angle_sigma=args.angle_sigma,
     )
     manifest, calibrations = generate_corpus(config, args.frames, args.seed)
+    # Every frame's detections are made before --out is, so a fault in any
+    # of them leaves no output behind.
+    detections = [
+        corrupt_detections(frame, noise, seed=args.seed + 1_000_003 * (i + 1), config=config)
+        for i, frame in enumerate(manifest.frames)
+    ]
     out = Path(args.out)
     (out / "calib").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(exist_ok=True)
@@ -222,14 +225,11 @@ def _cmd_synth(args) -> int:
     (out / "manifest.json").write_text(dump_manifest(manifest))
     for ref, calibration in sorted(calibrations.items()):
         (out / "calib" / f"{ref}.json").write_text(dump_calibration(calibration))
-    for i, frame in enumerate(manifest.frames):
+    for frame, records in zip(manifest.frames, detections):
         (out / "labels" / f"{frame.frame_id}.txt").write_text(
             write_labels(frame.annotations, "kitti_ext")
         )
-        detections = corrupt_detections(frame, noise, seed=args.seed + 1_000_003 * (i + 1), config=config)
-        (out / "detections" / f"{frame.frame_id}.txt").write_text(
-            write_labels(detections, "kitti_ext")
-        )
+        (out / "detections" / f"{frame.frame_id}.txt").write_text(write_labels(records, "kitti_ext"))
     if args.verbose:
         print(f"wrote {len(manifest.frames)} frames to {out}", file=sys.stderr)
     return 0

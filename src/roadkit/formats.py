@@ -23,7 +23,7 @@ import enum
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -187,6 +187,9 @@ class DatasetManifest:
         object.__setattr__(self, "frames", tuple(self.frames))
         seen: set[str] = set()
         taxonomy = set(self.class_taxonomy)
+        if len(taxonomy) < len(self.class_taxonomy):
+            repeated = next(c for c, n in Counter(self.class_taxonomy).items() if n > 1)
+            raise ValidationError(f"duplicate class {repeated!r} in the taxonomy")
         for frame in self.frames:
             if frame.frame_id in seen:
                 raise ValidationError(f"duplicate frame_id {frame.frame_id!r}")
@@ -725,15 +728,6 @@ def remap_classes(
                 dropped += 1
                 continue
             kept.append(_with_fields(ann, class_name=target, frame_id=frame.frame_id))
-        frames.append(
-            FrameRecord(
-                frame_id=frame.frame_id,
-                image_path=frame.image_path,
-                image_size=frame.image_size,
-                calibration_ref=frame.calibration_ref,
-                annotations=tuple(kept),
-                tags=frame.tags,
-            )
-        )
+        frames.append(replace(frame, annotations=tuple(kept)))
     taxonomy = tuple(sorted(set(mapping.values())))
     return DatasetManifest(name=manifest.name, class_taxonomy=taxonomy, frames=tuple(frames)), dropped

@@ -97,10 +97,11 @@ class NoiseSpec:
         if not (0.0 <= self.drop_rate <= 1.0):
             raise ValidationError(f"drop_rate must be in [0, 1], got {self.drop_rate}")
         for name in ("fp_rate", "center_sigma", "dim_sigma", "angle_sigma"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.score_scale <= 0.0:
-            raise ValidationError(f"score_scale must be positive, got {self.score_scale}")
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValidationError(f"{name} must be finite and >= 0, got {value}")
+        if not (0.0 < self.score_scale < math.inf):
+            raise ValidationError(f"score_scale must be positive and finite, got {self.score_scale}")
 
 
 def _camera_pose(pitch_deg: float, camera_height: float) -> RigidTransform:
@@ -179,6 +180,8 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
     where r single attempts would. Placement stops an object after 200
     consecutive misses.
     """
+    if seed < 0:
+        raise ValidationError(f"scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pitch_deg = float(rng.uniform(*config.pitch_range_deg))
     extrinsics = _camera_pose(pitch_deg, config.camera_height)
@@ -203,7 +206,7 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
             distance * np.array([math.sin(b) for b in bearing]),
             dims[:, 0] / 2.0,
         ])
-        boxes, fault = _move_boxes(extrinsics, centers, dims.tolist(), _world_box_rotations(draws[:, 6].tolist()))
+        boxes = _move_boxes(extrinsics, centers, dims.tolist(), _world_box_rotations(draws[:, 6].tolist()))
         for kind, box, projected in zip(kinds.tolist(), boxes, _project_boxes(intrinsics, boxes)):
             if not projected.visible:
                 misses += 1
@@ -231,8 +234,6 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
                     frame_id=fid,
                 )
             )
-        if fault is not None:
-            raise ValidationError(fault)
     frame = FrameRecord(
         frame_id=fid,
         image_path=f"{fid}.png",
@@ -283,6 +284,8 @@ def corrupt_detections(
     so score ranking correlates with detection quality. Poisson(fp_rate)
     spurious low-score boxes are added inside the camera frustum.
     """
+    if seed < 0:
+        raise ValidationError(f"detection seed must be >= 0, got {seed}")
     config = config or SceneConfig()
     rng = np.random.default_rng(seed)
     detections: list[DetectionRecord] = []

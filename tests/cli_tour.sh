@@ -5,7 +5,10 @@
 # and so does `eval --pred` on a missing directory exiting other than 2, or
 # `eval` and `transform` on a copy with one corrupted file exiting other than
 # 1 with one stderr line naming that file, or that `transform` leaving its
-# --out directory behind.
+# --out directory behind. So does `synth --center-sigma nan` exiting other
+# than 1 with one stderr line naming center_sigma, or leaving its --out
+# behind, and `eval` on a copy of the manifest listing "Car" twice in its
+# taxonomy exiting other than 1 with one stderr line.
 #
 # Usage, from any directory: bash tests/cli_tour.sh
 set -euo pipefail
@@ -41,30 +44,43 @@ if [ "$code" -ne 2 ]; then
     echo "eval --pred on a missing directory exited $code, not 2" >&2
     exit 1
 fi
-# One corrupted file in a copy of each directory: a score out of range in a
-# detection file, a fractional occlusion in a label file.
-expect_file_fault() {
-    local name=$1 code=0
+# A command that must exit 1 with one stderr line holding "error: <needle>".
+expect_fault() {
+    local needle=$1 code=0
     shift
     echo "+ roadkit $*" >&2
     python -m roadkit.cli "$@" 2>"$work/err" >/dev/null || code=$?
-    if [ "$code" -ne 1 ] || [ "$(wc -l <"$work/err")" -ne 1 ] || ! grep -q "error: $name: " "$work/err"; then
-        echo "roadkit $1 on a corrupted $name exited $code with stderr:" >&2
+    if [ "$code" -ne 1 ] || [ "$(wc -l <"$work/err")" -ne 1 ] || ! grep -qF "error: $needle" "$work/err"; then
+        echo "roadkit $1 exited $code, not 1 with one stderr line holding 'error: $needle':" >&2
         cat "$work/err" >&2
         exit 1
     fi
 }
+# One corrupted file in a copy of each directory: a score out of range in a
+# detection file, a fractional occlusion in a label file.
 cp -r "$corpus/detections" "$work/bad-detections"
 cp -r "$corpus/labels" "$work/bad-labels"
 det=$(ls "$work/bad-detections" | sort | head -n 2 | tail -n 1)
 lab=$(ls "$work/bad-labels" | sort | head -n 2 | tail -n 1)
 sed -i '1s/ [^ ]*$/ 1.5/' "$work/bad-detections/$det"
 sed -i '1s/^\([^ ]* [^ ]*\) [^ ]* /\1 1.5 /' "$work/bad-labels/$lab"
-expect_file_fault "$det" eval --gt "$corpus/manifest.json" --pred "$work/bad-detections"
-expect_file_fault "$lab" transform --calib "$calib" --source camera --target world \
+expect_fault "$det: " eval --gt "$corpus/manifest.json" --pred "$work/bad-detections"
+expect_fault "$lab: " transform --calib "$calib" --source camera --target world \
     --labels "$work/bad-labels" --out "$work/bad-world"
 if [ -e "$work/bad-world" ]; then
     echo "roadkit transform on a corrupted $lab left $work/bad-world behind" >&2
     exit 1
 fi
+expect_fault center_sigma synth --out "$work/bad-synth" --frames 2 --seed 7 --center-sigma nan
+if [ -e "$work/bad-synth" ]; then
+    echo "roadkit synth --center-sigma nan left $work/bad-synth behind" >&2
+    exit 1
+fi
+python - "$corpus/manifest.json" "$work/repeated.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["class_taxonomy"].append("Car")
+json.dump(doc, open(sys.argv[2], "w"))
+PY
+expect_fault "duplicate class 'Car' in the taxonomy" eval --gt "$work/repeated.json" --pred "$corpus/detections"
 echo "cli tour passed" >&2

@@ -307,6 +307,16 @@ class TestTransformBoxes:
                 _transform_boxes(rigid, boxes)
             assert type(got.value) is type(expected.value)
             assert str(got.value) == str(expected.value) == "rotation matrix is not orthonormal"
+        # A box ahead of the tilted one whose moved center overflows faults
+        # first, as it does one box at a time.
+        far = RigidTransform(rot, (1e308, 0.0, 0.0), "lidar", "camera")
+        overflow = Box3D((1e308, 0.0, 20.0), (1.5, 1.8, 4.2))
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as expected:
+            reference_transform_box(far, overflow)
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as got:
+            _transform_boxes(far, [good, overflow, bad])
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("box center must be 3 finite values, ")
 
     def test_first_invalid_rotation_matches_validate_rotation(self):
         good = rotation_from_euler(EulerOrientation(0.3, -0.2, 1.1))

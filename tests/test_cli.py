@@ -81,6 +81,20 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(tmp_path / "c"), "--frames", "0"]) == 0
         assert json.loads((tmp_path / "c" / "manifest.json").read_text())["frames"] == []
 
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--fp-rate", "nan"], "fp_rate"),
+            (["--center-sigma", "nan"], "center_sigma"),
+            (["--seed", "-2000007"], "seed must be >= 0"),
+        ],
+    )
+    def test_bad_noise_or_seed_writes_nothing(self, flags, needle, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), "--frames", "3", "--objects", "3,6", *flags]) == 1
+        _one_error_line(capsys, "roadkit synth: error:", needle)
+        assert not out.exists()
+
     @pytest.mark.parametrize("objects", ["5", "a,b", "1,2,3", "7,3"])
     def test_bad_objects_exits_1(self, objects, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--objects", objects])
@@ -372,6 +386,21 @@ class TestMalformedInputExits1:
         assert main(argv) == 1
         _one_error_line(capsys, "roadkit convert: error:", where)
         assert not out.exists()
+
+    def test_repeated_class_in_eval_stats_and_split(self, corpus, tmp_path, capsys):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        doc["class_taxonomy"].append("Car")
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        split = tmp_path / "split.json"
+        for argv in (
+            ["eval", "--gt", str(path), "--pred", str(corpus / "detections")],
+            ["stats", "--manifest", str(path)],
+            ["split", "--manifest", str(path), "--out", str(split)],
+        ):
+            assert main(argv) == 1
+            _one_error_line(capsys, f"roadkit {argv[0]}: error: duplicate class 'Car' in the taxonomy")
+        assert not split.exists()
 
     @pytest.mark.parametrize("size", [[1920], [1920, 1080, 3], [-1920, 1080]])
     def test_bad_image_size_in_convert_and_stats(self, corpus, tmp_path, capsys, size):

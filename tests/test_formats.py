@@ -105,6 +105,10 @@ class TestRecords:
         with pytest.raises(ValidationError):
             DatasetManifest(name="d", class_taxonomy=("Car",), frames=(frame, frame))
 
+    def test_manifest_rejects_repeated_class(self):
+        with pytest.raises(ValidationError, match="duplicate class 'Car'"):
+            DatasetManifest(name="d", class_taxonomy=("Car", "Bus", "Car"))
+
     def test_manifest_rejects_unknown_class(self):
         frame = FrameRecord(frame_id="f0", annotations=(make_annotation(class_name="Bike"),))
         with pytest.raises(ValidationError):
@@ -1076,6 +1080,22 @@ class TestStatsAndRemap:
         assert got == expected
         assert [type(r) for r in got] == [type(r) for r in expected]
         assert {type(r) for r in got} == {AnnotationRecord, DetectionRecord}
+
+    def test_remap_keeps_frame_fields(self):
+        frame = FrameRecord(
+            frame_id="a",
+            image_path="img/a.png",
+            image_size=(1920, 1080),
+            calibration_ref="calib-a",
+            annotations=(make_annotation(class_name="Car", frame_id="a"),),
+            tags={"weather": "foggy", "time": "night"},
+        )
+        manifest = DatasetManifest(name="d", class_taxonomy=("Car",), frames=(frame,))
+        (got,) = remap_classes(manifest, {"Car": "Vehicle"})[0].frames
+        assert (got.frame_id, got.image_path, got.image_size, got.calibration_ref, got.tags) == (
+            "a", "img/a.png", (1920, 1080), "calib-a", (("time", "night"), ("weather", "foggy"))
+        )
+        assert [ann.class_name for ann in got.annotations] == ["Vehicle"]
 
     def test_remap_renames_and_drops(self):
         remapped, dropped = remap_classes(self.make_manifest(), {"Car": "Vehicle"})

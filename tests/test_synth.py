@@ -78,6 +78,10 @@ class TestSceneConfig:
             NoiseSpec(fp_rate=-1.0)
         with pytest.raises(ValidationError):
             NoiseSpec(score_scale=0.0)
+        for name in ("drop_rate", "fp_rate", "center_sigma", "dim_sigma", "angle_sigma", "score_scale"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValidationError, match=name):
+                    NoiseSpec(**{name: value})
 
 
 class TestSceneHelpers:
@@ -349,6 +353,13 @@ class TestCorruptDetections:
                 corrupt_detections(sample.frame, NoiseSpec(fp_rate=2.0), seed=seed)
             )
         assert total / 200 == pytest.approx(2.0, abs=0.4)
+
+    def test_negative_seed_rejected(self):
+        sample = generate_scene(SMALL, seed=41)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            corrupt_detections(sample.frame, NoiseSpec(), seed=-1, config=SMALL)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            generate_scene(SMALL, seed=-1)
 
     def test_false_positives_have_low_scores(self):
         sample = generate_scene(SceneConfig(objects_per_frame=(0, 0)), seed=47)
