@@ -210,8 +210,9 @@ def _move_boxes(
     a ValidationError, after building the boxes before it, so that a fault of
     one of those boxes comes first, as it does one box at a time.
     """
-    centers = extrinsics.apply(centers[:, None, :])[:, 0]
-    rotations = np.matmul(extrinsics.rotation, rotations)
+    with np.errstate(over="ignore", invalid="ignore"):  # Box3D rejects a center that overflows
+        centers = extrinsics.apply(centers[:, None, :])[:, 0]
+        rotations = np.matmul(extrinsics.rotation, rotations)
     stop, fault = _first_invalid_rotation(rotations)
     moved = [
         Box3D(center=center, dims=size, orientation=EulerOrientation(*_euler_angles(rot)))
@@ -263,16 +264,16 @@ def _project_boxes(
     which may round differently, so that corner is projected as a lone row.
     """
     cam = _corners(*_box_arrays(boxes))
-    if extrinsics is not None:
-        cam = extrinsics.apply(cam)
-    front = cam[..., 2] > BEHIND_CAMERA_EPS
     k_t = intrinsics.matrix.T
-    uv = np.matmul(cam, k_t)
-    lone = np.flatnonzero(np.count_nonzero(front, axis=1) == 1)
-    if lone.size:
-        corner = np.argmax(front[lone], axis=1)
-        uv[lone, corner] = np.matmul(cam[lone, corner][:, None], k_t)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if extrinsics is not None:
+            cam = extrinsics.apply(cam)
+        front = cam[..., 2] > BEHIND_CAMERA_EPS
+        uv = np.matmul(cam, k_t)
+        lone = np.flatnonzero(np.count_nonzero(front, axis=1) == 1)
+        if lone.size:
+            corner = np.argmax(front[lone], axis=1)
+            uv[lone, corner] = np.matmul(cam[lone, corner][:, None], k_t)[:, 0]
         uv = uv[..., :2] / cam[..., 2:]
     lo = np.where(front[..., None], uv, np.inf).min(axis=1).tolist()
     hi = np.where(front[..., None], uv, -np.inf).max(axis=1).tolist()

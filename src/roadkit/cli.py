@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .camera import _transform_boxes
@@ -30,7 +31,6 @@ from .formats import (
     AnnotationRecord,
     DetectionRecord,
     _parse_kitti,
-    _with_fields,
     dataset_stats,
     dump_calibration,
     dump_manifest,
@@ -157,8 +157,11 @@ def _cmd_transform(args) -> int:
     texts = {}
     for label_file in _label_files(Path(args.labels)):
         records = _read_labels(label_file)
-        boxes = _transform_boxes(rigid, [record.box3d for record in records])
-        moved = [_with_fields(record, box3d=box) for record, box in zip(records, boxes)]
+        try:
+            boxes = _transform_boxes(rigid, [record.box3d for record in records])
+        except ValidationError as exc:
+            raise ValidationError(f"{label_file.name}: {exc}") from exc
+        moved = [replace(record, box3d=box) for record, box in zip(records, boxes)]
         texts[label_file.name] = write_labels(moved, "kitti_ext")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

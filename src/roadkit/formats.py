@@ -82,9 +82,10 @@ class DetectionRecord(AnnotationRecord):
             raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
 
-# The gate every reader's record goes through: _valid_record checks the
-# record rules on Python floats and, when they hold, builds the record as the
-# dataclass __init__ sets it, one object.__setattr__ a field, so a record
+# A record is built one of two ways: by its constructor, which checks, or by
+# _valid_record, the gate every reader's record goes through. The gate checks
+# the record rules on Python floats and, when they hold, builds the record as
+# the dataclass __init__ sets it, one object.__setattr__ a field, so a record
 # takes no more memory than a constructed one; only __post_init__, the checks
 # and conversions, is not run.
 _OCCLUSIONS = tuple(Occlusion)
@@ -97,39 +98,27 @@ def _valid_record(
 ) -> AnnotationRecord | None:
     """The record the constructors make of finite Python floats, or None when
     one fails a record rule: truncation in [0, 1], occlusion a level 0-3, h,
-    w and l positive, and score, when given, in [0, 1]. An angle outside
-    (-pi, pi] goes through normalize_angle; center and dims are stored as
-    tuples."""
+    w and l positive, and score, when given, in [0, 1]. Each angle goes
+    through normalize_angle; center and dims are stored as tuples."""
     h, w, l = dims
     if not (
         0.0 <= truncation <= 1.0
-        and occlusion in (0.0, 1.0, 2.0, 3.0)
+        and occlusion in _OCCLUSIONS
         and h > 0.0 and w > 0.0 and l > 0.0
         and (score is None or 0.0 <= score <= 1.0)
     ):
         return None
-    pi = math.pi
     orientation = object.__new__(EulerOrientation)
-    _set(orientation, "yaw", yaw if -pi < yaw <= pi else normalize_angle(yaw))
-    _set(orientation, "pitch", pitch if -pi < pitch <= pi else normalize_angle(pitch))
-    _set(orientation, "roll", roll if -pi < roll <= pi else normalize_angle(roll))
+    _set(orientation, "yaw", normalize_angle(yaw))
+    _set(orientation, "pitch", normalize_angle(pitch))
+    _set(orientation, "roll", normalize_angle(roll))
     box = object.__new__(Box3D)
     _set(box, "center", tuple(center))
     _set(box, "dims", tuple(dims))
     _set(box, "orientation", orientation)
-    return _checked_record(class_name, box, truncation, occlusion, box2d, frame_id, score)
-
-
-def _checked_record(
-    class_name: str, box3d: Box3D, truncation: float, occlusion, box2d, frame_id: str, score: float | None = None
-) -> AnnotationRecord:
-    """The AnnotationRecord, or DetectionRecord when score is given, that the
-    constructors make of values that pass their checks: truncation and score
-    Python floats, occlusion a whole number (stored as an Occlusion), box2d
-    None or 4 Python floats (stored as a tuple)."""
     record = object.__new__(AnnotationRecord if score is None else DetectionRecord)
     _set(record, "class_name", class_name)
-    _set(record, "box3d", box3d)
+    _set(record, "box3d", box)
     _set(record, "truncation", truncation)
     _set(record, "occlusion", _OCCLUSIONS[int(occlusion)])
     _set(record, "box2d", None if box2d is None else tuple(box2d))
@@ -137,23 +126,6 @@ def _checked_record(
     if score is not None:
         _set(record, "score", score)
     return record
-
-
-def _with_fields(record: AnnotationRecord, **changes) -> AnnotationRecord:
-    """dataclasses.replace for class_name, box3d and frame_id, which
-    __post_init__ does not check: the record's other fields were checked when
-    it was built, and are copied without checking them again."""
-    fields = dict(
-        class_name=record.class_name,
-        box3d=record.box3d,
-        truncation=record.truncation,
-        occlusion=record.occlusion,
-        box2d=record.box2d,
-        frame_id=record.frame_id,
-        score=getattr(record, "score", None),
-    )
-    fields.update(changes)
-    return _checked_record(**fields)
 
 
 @dataclass(frozen=True)
@@ -727,7 +699,7 @@ def remap_classes(
             if target is None:
                 dropped += 1
                 continue
-            kept.append(_with_fields(ann, class_name=target, frame_id=frame.frame_id))
+            kept.append(replace(ann, class_name=target, frame_id=frame.frame_id))
         frames.append(replace(frame, annotations=tuple(kept)))
     taxonomy = tuple(sorted(set(mapping.values())))
     return DatasetManifest(name=manifest.name, class_taxonomy=taxonomy, frames=tuple(frames)), dropped

@@ -324,7 +324,11 @@ def corrupt_detections(
         )
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
     names, cdf = _class_sampler(config.class_mix)
-    for _ in range(int(rng.poisson(noise.fp_rate))):
+    try:
+        false_positives = int(rng.poisson(noise.fp_rate))
+    except ValueError as exc:  # numpy's own limit on the rate, set by its C long
+        raise ValidationError(f"fp_rate {noise.fp_rate} is too large for a Poisson draw: {exc}") from exc
+    for _ in range(false_positives):
         class_name = _pick_class(rng, names, cdf)
         h0, w0, l0 = NOMINAL_DIMS[class_name]
         depth = float(rng.uniform(config.min_range, config.max_range * 0.9))

@@ -8,7 +8,11 @@
 # --out directory behind. So does `synth --center-sigma nan` exiting other
 # than 1 with one stderr line naming center_sigma, or leaving its --out
 # behind, and `eval` on a copy of the manifest listing "Car" twice in its
-# taxonomy exiting other than 1 with one stderr line.
+# taxonomy exiting other than 1 with one stderr line. Three overflows must
+# each exit 1 with one stderr line (no numpy warning ahead of it) and leave
+# no --out behind: `transform` of a label whose moved center overflows, whose
+# line names that file, `synth --max-range 1e308` and `synth --fp-rate 1e30`,
+# a rate beyond numpy's Poisson draw.
 #
 # Usage, from any directory: bash tests/cli_tour.sh
 set -euo pipefail
@@ -56,6 +60,13 @@ expect_fault() {
         exit 1
     fi
 }
+# A command's --out must not exist after it failed.
+expect_no_out() {
+    if [ -e "$1" ]; then
+        echo "a failed roadkit command left $1 behind" >&2
+        exit 1
+    fi
+}
 # One corrupted file in a copy of each directory: a score out of range in a
 # detection file, a fractional occlusion in a label file.
 cp -r "$corpus/detections" "$work/bad-detections"
@@ -67,15 +78,19 @@ sed -i '1s/^\([^ ]* [^ ]*\) [^ ]* /\1 1.5 /' "$work/bad-labels/$lab"
 expect_fault "$det: " eval --gt "$corpus/manifest.json" --pred "$work/bad-detections"
 expect_fault "$lab: " transform --calib "$calib" --source camera --target world \
     --labels "$work/bad-labels" --out "$work/bad-world"
-if [ -e "$work/bad-world" ]; then
-    echo "roadkit transform on a corrupted $lab left $work/bad-world behind" >&2
-    exit 1
-fi
+expect_no_out "$work/bad-world"
 expect_fault center_sigma synth --out "$work/bad-synth" --frames 2 --seed 7 --center-sigma nan
-if [ -e "$work/bad-synth" ]; then
-    echo "roadkit synth --center-sigma nan left $work/bad-synth behind" >&2
-    exit 1
-fi
+expect_no_out "$work/bad-synth"
+cp -r "$corpus/labels" "$work/far-labels"
+far=$(ls "$work/far-labels" | sort | head -n 2 | tail -n 1)
+echo "Car 0 0 0 -1 -1 -1 -1 1.5 1.8 4.2 -1.7e308 1.7e308 1.7e308 0.1" >"$work/far-labels/$far"
+expect_fault "$far: box center must be 3 finite values" transform --calib "$calib" --source camera \
+    --target world --labels "$work/far-labels" --out "$work/far-world"
+expect_no_out "$work/far-world"
+expect_fault "could not place object 1 of" synth --out "$work/far-synth" --frames 2 --max-range 1e308
+expect_no_out "$work/far-synth"
+expect_fault "fp_rate 1e+30" synth --out "$work/many-synth" --frames 2 --fp-rate 1e30
+expect_no_out "$work/many-synth"
 python - "$corpus/manifest.json" "$work/repeated.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -1,16 +1,22 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from roadkit import cli
 from roadkit.cli import _build_parser, _load_detection_dir, main
 from roadkit.evaluation import EvalReport
-from roadkit.formats import AnnotationRecord, DetectionRecord, load_manifest, parse_labels
+from roadkit.formats import AnnotationRecord, DetectionRecord, load_manifest, parse_calibration, parse_labels
 from roadkit.geometry import Box3D, EulerOrientation
 
-from helpers import reference_parse_kitti_text, typed
+from helpers import (
+    reference_kitti_line,
+    reference_parse_kitti_text,
+    reference_transform_box,
+    typed,
+)
 
 
 @pytest.fixture()
@@ -31,6 +37,13 @@ def corpus(tmp_path):
     )
     assert code == 0
     return out
+
+
+def _main_without_warnings(argv) -> int:
+    """main(argv) with every numpy RuntimeWarning raised as an exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return main(argv)
 
 
 def _one_error_line(capsys, *needles):
@@ -60,9 +73,11 @@ class TestSynthCommand:
             for path in sorted((corpus / sub).iterdir()):
                 assert path.read_text() == (again / sub / path.name).read_text()
 
-    @pytest.mark.parametrize("max_range", ["5", "8.8", "0", "-3", "inf", "nan"])
+    # 1e308 overflows the projection, so that no object can be placed.
+    @pytest.mark.parametrize("max_range", ["5", "8.8", "0", "-3", "inf", "nan", "1e308"])
     def test_bad_max_range_exits_1(self, max_range, tmp_path, capsys):
-        code = main(["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--max-range", max_range])
+        argv = ["synth", "--out", str(tmp_path / "c"), "--frames", "1", "--max-range", max_range]
+        code = _main_without_warnings(argv)
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and len(err.splitlines()) == 1
@@ -85,6 +100,7 @@ class TestSynthCommand:
         "flags, needle",
         [
             (["--fp-rate", "nan"], "fp_rate"),
+            (["--fp-rate", "1e30"], "fp_rate 1e+30"),  # beyond numpy's Poisson draw
             (["--center-sigma", "nan"], "center_sigma"),
             (["--seed", "-2000007"], "seed must be >= 0"),
         ],
@@ -464,8 +480,56 @@ class TestMalformedInputExits1:
         _one_error_line(capsys, f"roadkit transform: error: {path.name}: {message}", "(line 3")
         assert not out.exists()
 
+    def test_overflowing_move_in_transform_names_file(self, corpus, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        for path in sorted((corpus / "labels").glob("*.txt")):
+            (labels / path.name).write_text(path.read_text())
+        path = sorted(labels.glob("*.txt"))[1]
+        path.write_text("Car 0 0 0 -1 -1 -1 -1 1.5 1.8 4.2 -1.7e308 1.7e308 1.7e308 0.1\n")
+        calib = sorted((corpus / "calib").glob("*.json"))[0]
+        out = tmp_path / "out"
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(labels), "--out", str(out)]
+        assert _main_without_warnings(argv) == 1
+        _one_error_line(capsys, f"roadkit transform: error: {path.name}: box center must be 3 finite values")
+        assert not out.exists()
+
+
+def _constructed_copy(record: AnnotationRecord, box3d: Box3D) -> AnnotationRecord:
+    """The record with a new box, built through the public constructors."""
+    fields = dict(
+        class_name=record.class_name,
+        box3d=box3d,
+        truncation=record.truncation,
+        occlusion=record.occlusion,
+        box2d=record.box2d,
+        frame_id=record.frame_id,
+    )
+    if isinstance(record, DetectionRecord):
+        return DetectionRecord(score=record.score, **fields)
+    return AnnotationRecord(**fields)
+
 
 class TestTransformCommand:
+    @pytest.mark.parametrize("sub", ["labels", "detections"])
+    def test_output_matches_reference(self, corpus, tmp_path, sub):
+        calib = sorted((corpus / "calib").glob("*.json"))[0]
+        rigid = parse_calibration(calib.read_text()).transform("camera", "world")
+        out = tmp_path / "world"
+        assert main(["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                     "--labels", str(corpus / sub), "--out", str(out)]) == 0
+        sources = sorted((corpus / sub).glob("*.txt"))
+        assert sorted(path.name for path in out.iterdir()) == [path.name for path in sources]
+        kinds = set()
+        for path in sources:
+            records = reference_parse_kitti_text(path.read_text())
+            moved = [_constructed_copy(r, reference_transform_box(rigid, r.box3d)) for r in records]
+            kinds.update(type(r) for r in moved)
+            expected = "".join(reference_kitti_line(r) + "\n" for r in moved)
+            assert (out / path.name).read_text() == expected, path.name
+        assert kinds == {AnnotationRecord if sub == "labels" else DetectionRecord}
+
     def test_camera_to_world_round_trip(self, corpus, tmp_path):
         manifest = load_manifest((corpus / "manifest.json").read_text())
         calib = corpus / "calib" / f"{manifest.frames[0].calibration_ref}.json"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -32,7 +31,7 @@ from roadkit.formats import (
     write_labels,
 )
 from roadkit import formats
-from roadkit.formats import _parse_kitti_line, _with_fields
+from roadkit.formats import _parse_kitti_line
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
 from helpers import (
@@ -113,19 +112,6 @@ class TestRecords:
         frame = FrameRecord(frame_id="f0", annotations=(make_annotation(class_name="Bike"),))
         with pytest.raises(ValidationError):
             DatasetManifest(name="d", class_taxonomy=("Car",), frames=(frame,))
-
-    @pytest.mark.parametrize("make", [make_annotation, make_detection])
-    def test_with_fields_equals_replace_without_checks(self, make, monkeypatch):
-        record = make(truncation=0.25, occlusion=1, box2d=(1, 2, 3, 4), frame_id="f0")
-        box = Box3D(center=(1, 2, 30), dims=(1.5, 1.8, 4.2), orientation=EulerOrientation(0.3, 0.1, -0.2))
-        expected = [dataclasses.replace(record, frame_id="f9"), dataclasses.replace(record, box3d=box)]
-        checks = []
-        monkeypatch.setattr(type(record), "__post_init__", lambda r: checks.append(r))
-        moved = [_with_fields(record, frame_id="f9"), _with_fields(record, box3d=box)]
-        assert checks == []
-        assert moved == expected
-        assert [type(r) for r in moved] == [type(record)] * 2
-        assert record.frame_id == "f0" and record.box3d != box  # the original is untouched
 
     def test_frame_tags_sorted(self):
         frame = FrameRecord(frame_id="f0", tags={"weather": "sunny", "time": "day"})
