@@ -12,15 +12,18 @@ from .geometry import (
     Box3D,
     EulerOrientation,
     _box_arrays,
+    _center_fault,
     _corners,
     _euler_angles,
     _first_invalid_rotation,
+    normalize_angle,
     validate_rotation,
 )
 
 # Points with camera-frame depth at or below this are rejected as behind the
 # camera; keeps legitimate near-field points while avoiding division blow-up.
 BEHIND_CAMERA_EPS = 1e-6
+_BLOCK = 256  # boxes decomposed from one tolist() call, to bound the Python floats held at once
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,7 @@ def transform_box(
 
 
 def _transform_boxes(extrinsics: RigidTransform, boxes: Sequence[Box3D]) -> list[Box3D]:
-    """transform_box of each box, raising the first rejected rotation's fault."""
+    """transform_box of each box, raising the first box's fault."""
     centers, rotations, _ = _box_arrays(boxes)
     return _move_boxes(extrinsics, centers, [box.dims for box in boxes], rotations)
 
@@ -201,26 +204,46 @@ def _transform_boxes(extrinsics: RigidTransform, boxes: Sequence[Box3D]) -> list
 def _move_boxes(
     extrinsics: RigidTransform, centers: np.ndarray, dims: Sequence, rotations: np.ndarray
 ) -> list[Box3D]:
-    """Move boxes, given as (N, 3) centers, (h, w, l) rows and (N, 3, 3)
-    rotations, into the transform's target frame with the bits of one box at a time.
+    """The boxes _move_poses gives, with (h, w, l) rows dims; raises its fault."""
+    moved, fault = _move_poses(extrinsics, centers, rotations)
+    if fault is not None:
+        raise ValidationError(fault)
+    return [
+        Box3D(center=pose[:3], dims=size, orientation=EulerOrientation(*pose[3:]))
+        for pose, size in zip(moved, dims)
+    ]
+
+
+def _move_poses(
+    extrinsics: RigidTransform, centers: np.ndarray, rotations: np.ndarray
+) -> tuple[list[tuple[float, ...]], str | None]:
+    """Move boxes, given as (N, 3) centers and (N, 3, 3) rotations, into the
+    transform's target frame with the bits of one box at a time.
+
+    Returns each box's moved (x, y, z, yaw, pitch, roll), each angle in
+    (-pi, pi], up to the first box at fault, and that fault's message, or
+    None. A box is at fault when its moved center is not finite or its moved
+    rotation is one validate_rotation rejects, with Box3D's and
+    validate_rotation's messages.
 
     Each center goes through extrinsics.apply as a stacked 1x3 row, which
-    gets the bits of one point, and each rotation through the same 3x3
-    product. Raises the first moved rotation validate_rotation would reject as
-    a ValidationError, after building the boxes before it, so that a fault of
-    one of those boxes comes first, as it does one box at a time.
+    gets the bits of one point, and each rotation through the same 3x3 product.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # Box3D rejects a center that overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing center is a fault
         centers = extrinsics.apply(centers[:, None, :])[:, 0]
         rotations = np.matmul(extrinsics.rotation, rotations)
     stop, fault = _first_invalid_rotation(rotations)
-    moved = [
-        Box3D(center=center, dims=size, orientation=EulerOrientation(*_euler_angles(rot)))
-        for center, size, rot in zip(centers[:stop].tolist(), dims, rotations[:stop].tolist())
-    ]
-    if fault is not None:
-        raise ValidationError(fault)
-    return moved
+    finite = np.isfinite(centers[:stop]).all(axis=1)
+    if not finite.all():
+        stop = int(np.argmin(finite))
+        fault = _center_fault(tuple(centers[stop].tolist()))
+    moved = []
+    for start in range(0, stop, _BLOCK):
+        block = slice(start, min(start + _BLOCK, stop))
+        for center, rotation in zip(centers[block].tolist(), rotations[block].reshape(-1, 9).tolist()):
+            yaw, pitch, roll = _euler_angles(rotation)
+            moved.append((*center, normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll)))
+    return moved, fault
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
-from .camera import _transform_boxes
 from .datasets import make_split
 from .errors import ParseError, RoadkitError, ValidationError
 from .evaluation import (
@@ -28,15 +27,18 @@ from .evaluation import (
     render_report,
 )
 from .formats import (
-    AnnotationRecord,
     DetectionRecord,
+    _kitti_rows,
+    _kitti_text,
+    _label_rows,
+    _move_rows,
     _parse_kitti,
+    _write_rows,
     dataset_stats,
     dump_calibration,
     dump_manifest,
     load_manifest,
     parse_calibration,
-    parse_labels,
     write_labels,
 )
 from .synth import NoiseSpec, SceneConfig, corrupt_detections, generate_corpus
@@ -133,36 +135,48 @@ def _label_files(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.txt"))
 
 
-def _read_labels(path: Path, frame_id: str = "") -> list[AnnotationRecord]:
-    """The records of one kitti_ext file, each carrying frame_id; a fault in
-    the file names it."""
+def _read_kitti(path: Path, parse, *args) -> list:
+    """parse(the text of a kitti_ext file, *args); a fault in the file names it."""
     text = _read(path)
     try:
-        return _parse_kitti(text, frame_id)
+        return parse(text, *args)
     except ValidationError as exc:
         raise ValidationError(f"{path.name}: {exc}") from exc
 
 
 def _cmd_convert(args) -> int:
-    records = parse_labels(_read(args.input), args.from_format)
-    Path(args.output).write_text(write_labels(records, args.to_format))
+    labels = _label_rows(_read(args.input), args.from_format)
+    Path(args.output).write_text(_write_rows(labels, args.to_format))
     return 0
+
+
+def _move_labels(rigid, labels: list[tuple[str, list[tuple]]]) -> list[tuple]:
+    """The rows of (file name, rows) pairs moved by rigid in one step; a fault
+    names the file of its row."""
+    moved, fault = _move_rows(rigid, [row for _, rows in labels for row in rows])
+    if fault is not None:
+        files = [name for name, rows in labels for _ in rows]
+        raise ValidationError(f"{files[len(moved)]}: {fault}")
+    return moved
 
 
 def _cmd_transform(args) -> int:
     calibration = parse_calibration(_read(args.calib))
     rigid = calibration.transform(args.source, args.target)
-    # Every file is read and moved before --out is made, so a fault in any
-    # of them leaves no output behind.
-    texts = {}
+    # Every file is read and all their rows moved before --out is made, so a
+    # fault in any of them leaves no output behind. Faults come in the order
+    # that reading and moving one file at a time meets them.
+    labels = []
     for label_file in _label_files(Path(args.labels)):
-        records = _read_labels(label_file)
         try:
-            boxes = _transform_boxes(rigid, [record.box3d for record in records])
-        except ValidationError as exc:
-            raise ValidationError(f"{label_file.name}: {exc}") from exc
-        moved = [replace(record, box3d=box) for record, box in zip(records, boxes)]
-        texts[label_file.name] = write_labels(moved, "kitti_ext")
+            labels.append((label_file.name, _read_kitti(label_file, _kitti_rows)))
+        except (RoadkitError, OSError):
+            _move_labels(rigid, labels)  # a move fault in an earlier file comes first
+            raise
+    moved = iter(_move_labels(rigid, labels))
+    counts = [(name, len(rows)) for name, rows in labels]
+    del labels  # the moved rows replace the parsed ones
+    texts = {name: _kitti_text(list(islice(moved, count))) for name, count in counts}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
@@ -180,7 +194,7 @@ def _cmd_split(args) -> int:
 def _load_detection_dir(pred_dir: Path) -> dict[str, list[DetectionRecord]]:
     detections = {}
     for path in _label_files(pred_dir):
-        records = _read_labels(path, path.stem)
+        records = _read_kitti(path, _parse_kitti, path.stem)
         if not all(isinstance(r, DetectionRecord) for r in records):
             raise ValidationError(f"{path.name}: detection lines must carry a score column")
         detections[path.stem] = records

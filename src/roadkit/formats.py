@@ -25,11 +25,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .camera import Intrinsics, RigidTransform
+from .camera import Intrinsics, RigidTransform, _move_poses
 from .errors import (
     CalibrationError,
     ParseError,
@@ -37,7 +37,7 @@ from .errors import (
     SerializationError,
     ValidationError,
 )
-from .geometry import Box3D, EulerOrientation, normalize_angle
+from .geometry import Box3D, EulerOrientation, _param_arrays, normalize_angle
 
 
 class Occlusion(enum.IntEnum):
@@ -82,50 +82,80 @@ class DetectionRecord(AnnotationRecord):
             raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
 
-# A record is built one of two ways: by its constructor, which checks, or by
-# _valid_record, the gate every reader's record goes through. The gate checks
-# the record rules on Python floats and, when they hold, builds the record as
-# the dataclass __init__ sets it, one object.__setattr__ a field, so a record
-# takes no more memory than a constructed one; only __post_init__, the checks
-# and conversions, is not run.
+# A label row is what both readers produce and both writers consume:
+# (class_name, truncation, occlusion, box2d, score, box), with box the 9
+# values of _box_params' layout (x, y, z, h, w, l, yaw, pitch, roll) and
+# score None for an annotation. A reader checks each row through _valid_row,
+# and builds a record from it, with _record, only where it returns records.
 _OCCLUSIONS = tuple(Occlusion)
 _set = object.__setattr__
 
 
-def _valid_record(
-    class_name: str, center, dims, yaw: float, pitch: float, roll: float,
-    truncation: float, occlusion: float, box2d, frame_id: str, score: float | None,
-) -> AnnotationRecord | None:
-    """The record the constructors make of finite Python floats, or None when
-    one fails a record rule: truncation in [0, 1], occlusion a level 0-3, h,
-    w and l positive, and score, when given, in [0, 1]. Each angle goes
-    through normalize_angle; center and dims are stored as tuples."""
-    h, w, l = dims
+def _valid_row(
+    class_name: str, truncation: float, occlusion: float, box2d, score: float | None,
+    x: float, y: float, z: float, h: float, w: float, l: float, yaw: float, pitch: float, roll: float,
+) -> tuple | None:
+    """The row of finite Python floats, or None when one fails a record
+    rule: truncation in [0, 1], occlusion a level 0-3, h, w and l positive
+    with a finite, positive volume, and score, when given, in [0, 1]. Each
+    angle goes through normalize_angle, and occlusion becomes an Occlusion."""
     if not (
         0.0 <= truncation <= 1.0
         and occlusion in _OCCLUSIONS
-        and h > 0.0 and w > 0.0 and l > 0.0
+        and h > 0.0 and w > 0.0 and l > 0.0 and 0.0 < h * w * l < math.inf
         and (score is None or 0.0 <= score <= 1.0)
     ):
         return None
+    box = (x, y, z, h, w, l, normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll))
+    return class_name, truncation, _OCCLUSIONS[int(occlusion)], box2d, score, box
+
+
+def _record(row: tuple, frame_id: str) -> AnnotationRecord:
+    """The record of a checked row, built as the dataclass __init__ sets it,
+    one object.__setattr__ a field, so that it takes no more memory than a
+    constructed one; only __post_init__, the checks and conversions, is not
+    run."""
+    class_name, truncation, occlusion, box2d, score, (x, y, z, h, w, l, yaw, pitch, roll) = row
     orientation = object.__new__(EulerOrientation)
-    _set(orientation, "yaw", normalize_angle(yaw))
-    _set(orientation, "pitch", normalize_angle(pitch))
-    _set(orientation, "roll", normalize_angle(roll))
+    _set(orientation, "yaw", yaw)
+    _set(orientation, "pitch", pitch)
+    _set(orientation, "roll", roll)
     box = object.__new__(Box3D)
-    _set(box, "center", tuple(center))
-    _set(box, "dims", tuple(dims))
+    _set(box, "center", (x, y, z))
+    _set(box, "dims", (h, w, l))
     _set(box, "orientation", orientation)
     record = object.__new__(AnnotationRecord if score is None else DetectionRecord)
     _set(record, "class_name", class_name)
     _set(record, "box3d", box)
     _set(record, "truncation", truncation)
-    _set(record, "occlusion", _OCCLUSIONS[int(occlusion)])
-    _set(record, "box2d", None if box2d is None else tuple(box2d))
+    _set(record, "occlusion", occlusion)
+    _set(record, "box2d", box2d)
     _set(record, "frame_id", frame_id)
     if score is not None:
         _set(record, "score", score)
     return record
+
+
+def _record_row(record: AnnotationRecord) -> tuple:
+    """The row of a record, its values as the record holds them."""
+    box = record.box3d
+    return (
+        record.class_name, record.truncation, record.occlusion, record.box2d,
+        record.score if isinstance(record, DetectionRecord) else None,
+        (*box.center, *box.dims, *box.orientation.as_tuple()),
+    )
+
+
+def _move_rows(rigid: RigidTransform, rows: Sequence[tuple]) -> tuple[list[tuple], str | None]:
+    """The rows with their boxes moved by rigid in one array step, up to the
+    first row at fault, and that fault's message, or None (camera._move_poses)."""
+    centers, rotations, _ = _param_arrays(np.array([row[5] for row in rows]).reshape(-1, 9))
+    poses, fault = _move_poses(rigid, centers, rotations)
+    moved = [
+        (*row[:5], (x, y, z, *row[5][3:6], yaw, pitch, roll))
+        for row, (x, y, z, yaw, pitch, roll) in zip(rows, poses)
+    ]
+    return moved, fault
 
 
 @dataclass(frozen=True)
@@ -189,10 +219,6 @@ _KITTI_FIELDS = (
 _NO_BOX2D = (-1.0, -1.0, -1.0, -1.0)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".6g")
-
-
 # Field names of the columns after the class, by column count.
 _KITTI_COLUMNS = {
     n: _KITTI_FIELDS[1:] + tail
@@ -205,7 +231,8 @@ _KITTI_COLUMNS = {
 }
 
 
-def _parse_kitti_line(line: str, line_no: int, frame_id: str = "") -> AnnotationRecord:
+def _kitti_row(line: str, line_no: int) -> tuple:
+    """The checked row of one kitti_ext line."""
     tokens = line.split()
     names = _KITTI_COLUMNS.get(len(tokens))
     if names is None:
@@ -230,12 +257,11 @@ def _parse_kitti_line(line: str, line_no: int, frame_id: str = "") -> Annotation
     rest = values[14:]
     pitch, roll = rest[:2] if len(rest) >= 2 else (0.0, 0.0)
     score = rest[-1] if len(rest) % 2 else None
-    record = _valid_record(
-        tokens[0], (x, y, z), (h, w, l), yaw, pitch, roll, truncation, occlusion_value, box2d, frame_id, score
-    )
-    if record is not None:
-        return record
-    # A value fails a check: the checks below, and the constructors, name it.
+    row = _valid_row(tokens[0], truncation, occlusion_value, box2d, score, x, y, z, h, w, l, yaw, pitch, roll)
+    if row is not None:
+        return row
+    # A value fails a check: the checks below, and the constructors, name it;
+    # should the constructors take the line, the row is their record's.
     if not (0.0 <= truncation <= 1.0):
         raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
     if not occlusion_value.is_integer():
@@ -249,42 +275,48 @@ def _parse_kitti_line(line: str, line_no: int, frame_id: str = "") -> Annotation
     try:
         box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
         if score is None:
-            return AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d, frame_id)
-        return DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, frame_id, score)
+            return _record_row(AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d))
+        return _record_row(DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=score))
     except ValidationError as exc:
         raise ValidationError(f"{exc} (line {line_no})") from exc
 
 
-def _parse_kitti(text: str, frame_id: str = "") -> list[AnnotationRecord]:
-    """The records of kitti_ext text, each carrying frame_id."""
+def _kitti_rows(text: str) -> list[tuple]:
+    """The checked rows of kitti_ext text."""
     return [
-        _parse_kitti_line(line, line_no, frame_id)
+        _kitti_row(line, line_no)
         for line_no, line in enumerate(text.splitlines(), start=1)
         if line.strip()
     ]
+
+
+def _parse_kitti(text: str, frame_id: str = "") -> list[AnnotationRecord]:
+    """The records of kitti_ext text, each carrying frame_id."""
+    return [_record(row, frame_id) for row in _kitti_rows(text)]
 
 
 # "%.6g" % v gives the bytes of format(float(v), ".6g") for any real v.
 _KITTI_LINE = "%s %.6g %d" + " %.6g" * 14
 
 
-def _write_kitti_line(record: AnnotationRecord) -> str:
-    name = record.class_name
+def _kitti_line(row: tuple) -> str:
+    name, truncation, occlusion, box2d, score, (x, y, z, h, w, l, yaw, pitch, roll) = row
     if name.split() != [name]:
         raise SerializationError(f"class name {name!r} is empty or holds whitespace")
-    box = record.box3d
-    x, y, z = box.center
-    yaw, pitch, roll = box.orientation.as_tuple()
     # Derive alpha from the rounded values being written so that
     # write -> parse -> write is byte-stable.
-    alpha = float(_fmt(yaw)) - math.atan2(float(_fmt(x)), float(_fmt(z)))
-    rect = record.box2d if record.box2d is not None else _NO_BOX2D
-    line = _KITTI_LINE % (
-        name, record.truncation, record.occlusion, alpha, *rect, *box.dims, x, y, z, yaw, pitch, roll
-    )
-    if isinstance(record, DetectionRecord):
-        line += " %.6g" % record.score
+    alpha = float("%.6g" % yaw) - math.atan2(float("%.6g" % x), float("%.6g" % z))
+    rect = box2d if box2d is not None else _NO_BOX2D
+    line = _KITTI_LINE % (name, truncation, occlusion, alpha, *rect, h, w, l, x, y, z, yaw, pitch, roll)
+    if score is not None:
+        line += " %.6g" % score
     return line
+
+
+def _kitti_text(rows: Iterable[tuple]) -> str:
+    """The kitti_ext text of rows, one line each; no line is empty."""
+    text = "\n".join(map(_kitti_line, rows))
+    return text + "\n" if text else ""
 
 
 # --------------------------------------------------------------------------
@@ -329,15 +361,15 @@ def _numbers(values, field: str) -> tuple:
 _NUMBER_TYPES = frozenset((int, float))  # a JSON number: never a bool, a string or None
 
 
-def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
-    """The record of one manifest annotation object.
+def _annotation_row(obj: dict, frame_id: str) -> tuple:
+    """The checked row of one manifest annotation object.
 
     Center, dims and box2d lists of 3, 3 and 4 values, a string class name,
     and JSON numbers wherever numbers belong, each finite as a float, go
-    through _valid_record. An annotation that fails any of that, or a record
+    through _valid_row. An annotation that fails any of that, or a record
     rule, goes through _annotation_walk, which names the fault.
     """
-    record = None
+    row = None
     try:
         box = obj["box3d"]
         center, dims, box2d, class_name = box["center"], box["dims"], obj.get("box2d"), obj["class_name"]
@@ -355,19 +387,19 @@ def _annotation_from_dict(obj: dict, frame_id: str = "") -> AnnotationRecord:
             numbers = list(map(float, numbers))  # an int too large for a float overflows
             if all(map(math.isfinite, numbers)):
                 x, y, z, h, w, l, yaw, pitch, roll, truncation, occlusion, score = numbers[:12]
-                record = _valid_record(
-                    class_name, (x, y, z), (h, w, l), yaw, pitch, roll, truncation, occlusion,
-                    None if box2d is None else numbers[12:], frame_id, score if "score" in obj else None,
+                row = _valid_row(
+                    class_name, truncation, occlusion, None if box2d is None else tuple(numbers[12:]),
+                    score if "score" in obj else None, x, y, z, h, w, l, yaw, pitch, roll,
                 )
     except (KeyError, TypeError, OverflowError):
         pass
-    return _annotation_walk(obj, frame_id) if record is None else record
+    return _annotation_walk(obj, frame_id) if row is None else row
 
 
-def _annotation_walk(obj: dict, frame_id: str) -> AnnotationRecord:
-    """The record of one manifest annotation object built through the
-    constructors, each value checked in turn; a fault is a SchemaError that
-    names it."""
+def _annotation_walk(obj: dict, frame_id: str) -> tuple:
+    """One manifest annotation object built through the constructors, each
+    value checked in turn; a fault is a SchemaError that names it. Should
+    the constructors take it, the row is their record's."""
     # A value of the wrong kind is a KeyError, TypeError, ValueError or
     # OverflowError: a missing key, a string, bool or non-finite value where a
     # number belongs, an unknown or fractional occlusion level, or an int too
@@ -394,10 +426,13 @@ def _annotation_walk(obj: dict, frame_id: str) -> AnnotationRecord:
             frame_id=frame_id,
         )
         if "score" in obj:
-            return DetectionRecord(score=float(_number(obj["score"], "score")), **kwargs)
-        return AnnotationRecord(**kwargs)
+            return _record_row(DetectionRecord(score=float(_number(obj["score"], "score")), **kwargs))
+        return _record_row(AnnotationRecord(**kwargs))
     except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"malformed annotation object in frame {frame_id!r}: {exc}") from exc
+
+
+_LABEL_FORMATS = ("kitti_ext", "manifest_json")
 
 
 def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
@@ -413,23 +448,33 @@ def parse_labels(text: str, fmt: str = "kitti_ext") -> list[AnnotationRecord]:
     raise ValidationError(f"unknown label format {fmt!r}")
 
 
+def _label_rows(text: str, fmt: str) -> Iterable[tuple[tuple, str]]:
+    """parse_labels(text, fmt) as (row, frame_id) pairs, each row of
+    manifest_json made as it is written."""
+    if fmt == "kitti_ext":
+        return ((row, "") for row in _kitti_rows(text))
+    return ((_record_row(r), r.frame_id) for r in parse_labels(text, fmt))
+
+
 def write_labels(records: Sequence[AnnotationRecord], fmt: str = "kitti_ext") -> str:
     """Serialize records; inverse of parse_labels for both formats."""
+    if fmt not in _LABEL_FORMATS:
+        raise ValidationError(f"unknown label format {fmt!r}")
+    return _write_rows(((_record_row(r), r.frame_id) for r in records), fmt)
+
+
+def _write_rows(labels: Iterable[tuple[tuple, str]], fmt: str) -> str:
+    """write_labels of the records with these (row, frame_id) pairs."""
     if fmt == "kitti_ext":
-        if not records:
-            return ""
-        return "\n".join(_write_kitti_line(r) for r in records) + "\n"
-    if fmt == "manifest_json":
-        by_frame: dict[str, list[AnnotationRecord]] = {}
-        for r in records:
-            by_frame.setdefault(r.frame_id, []).append(r)
-        taxonomy = sorted({r.class_name for r in records})
-        frames = [
-            FrameRecord(frame_id=fid, annotations=tuple(anns))
-            for fid, anns in by_frame.items()
-        ]
-        return dump_manifest(DatasetManifest(name="labels", class_taxonomy=taxonomy, frames=frames))
-    raise ValidationError(f"unknown label format {fmt!r}")
+        return _kitti_text(row for row, _ in labels)
+    # Rows grouped by frame, in a taxonomy of their classes, keep the rules
+    # of a DatasetManifest.
+    by_frame: dict[str, list[tuple]] = {}
+    for row, frame_id in labels:
+        by_frame.setdefault(frame_id, []).append(row)
+    taxonomy = sorted({row[0] for rows in by_frame.values() for row in rows})
+    frames = [(FrameRecord(frame_id=frame_id), rows) for frame_id, rows in by_frame.items()]
+    return _dump_document("labels", taxonomy, frames)
 
 
 # --------------------------------------------------------------------------
@@ -451,7 +496,7 @@ def load_manifest(text: str) -> DatasetManifest:
                 raise ValueError(
                     f"image_size {image_size!r} of frame {frame_id!r} must hold whole numbers, two of them, none negative"
                 )
-            annotations = tuple(_annotation_from_dict(a, frame_id) for a in fobj.get("annotations", []))
+            annotations = tuple(_record(_annotation_row(a, frame_id), frame_id) for a in fobj.get("annotations", []))
             frames.append(
                 FrameRecord(
                     frame_id=frame_id,
@@ -539,23 +584,23 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _dump_annotation(record: AnnotationRecord) -> str:
-    box = record.box3d
-    orientation = box.orientation
-    box2d = "null" if record.box2d is None else _json_list([_json(v, 6) for v in record.box2d], 5)
-    score = _SCORE % _json(record.score, 5) if isinstance(record, DetectionRecord) else ""
+def _dump_annotation(row: tuple) -> str:
+    class_name, truncation, occlusion, box2d, score, (x, y, z, h, w, l, yaw, pitch, roll) = row
+    box2d = "null" if box2d is None else _json_list([_json(v, 6) for v in box2d], 5)
+    score = "" if score is None else _SCORE % _json(score, 5)
     return _ANNOTATION % (
         box2d,
-        *[_json(v, 7) for v in (*box.center, *box.dims)],
-        *[_json(v, 6) for v in (orientation.pitch, orientation.roll, orientation.yaw)],
-        _json(record.class_name, 5), int(record.occlusion), score, _json(record.truncation, 5),
+        *[_json(v, 7) for v in (x, y, z, h, w, l)],
+        *[_json(v, 6) for v in (pitch, roll, yaw)],
+        _json(class_name, 5), int(occlusion), score, _json(truncation, 5),
     )
 
 
-def _dump_frame(frame: FrameRecord) -> str:
+def _dump_frame(frame: FrameRecord, rows) -> str:
+    """A frame's JSON object with the annotations of rows."""
     tags = _TAGS % _json(dict(frame.tags), 3) if frame.tags else ""
     return _FRAME % (
-        _json_list([_dump_annotation(a) for a in frame.annotations], 3),
+        _json_list([_dump_annotation(row) for row in rows], 3),
         _json(frame.calibration_ref, 3),
         _json(frame.frame_id, 3),
         _json(frame.image_path, 3),
@@ -564,13 +609,19 @@ def _dump_frame(frame: FrameRecord) -> str:
     )
 
 
+def _dump_document(name: str, taxonomy: Sequence[str], frames) -> str:
+    """The manifest document of (frame, annotation rows) pairs."""
+    return _MANIFEST % (
+        _json_list([_json(c, 2) for c in taxonomy], 1),
+        _json_list([_dump_frame(frame, rows) for frame, rows in frames], 1),
+        _json(name, 1),
+    )
+
+
 def dump_manifest(manifest: DatasetManifest) -> str:
     """Manifest JSON text, byte for byte what json.dumps(indent=2, sort_keys=True) writes."""
-    return _MANIFEST % (
-        _json_list([_json(c, 2) for c in manifest.class_taxonomy], 1),
-        _json_list([_dump_frame(f) for f in manifest.frames], 1),
-        _json(manifest.name, 1),
-    )
+    frames = [(frame, map(_record_row, frame.annotations)) for frame in manifest.frames]
+    return _dump_document(manifest.name, manifest.class_taxonomy, frames)
 
 
 # --------------------------------------------------------------------------

@@ -64,22 +64,23 @@ def euler_from_rotation(matrix: np.ndarray) -> EulerOrientation:
     residual rotation is folded into yaw and roll is reported as 0.
     """
     m = validate_rotation(matrix)
-    return EulerOrientation(*_euler_angles(m.tolist()))
+    return EulerOrientation(*_euler_angles(m.ravel().tolist()))
 
 
-def _euler_angles(m: Sequence[Sequence[float]]) -> tuple[float, float, float]:
-    """(yaw, pitch, roll) of an already validated rotation, given as rows."""
-    sp = -m[1][2]
+def _euler_angles(m: Sequence[float]) -> tuple[float, float, float]:
+    """(yaw, pitch, roll) of an already validated rotation, given as its 9
+    entries row by row."""
+    sp = -m[5]
     sp = min(1.0, max(-1.0, sp))
     pitch = math.asin(sp)
     if math.sqrt(1.0 - sp * sp) > 1e-6:
-        yaw = math.atan2(m[0][2], m[2][2])
-        roll = math.atan2(m[1][0], m[1][1])
+        yaw = math.atan2(m[2], m[8])
+        roll = math.atan2(m[3], m[4])
     elif sp > 0.0:
-        yaw = math.atan2(m[0][1], m[0][0])
+        yaw = math.atan2(m[1], m[0])
         roll = 0.0
     else:
-        yaw = math.atan2(-m[0][1], m[0][0])
+        yaw = math.atan2(-m[1], m[0])
         roll = 0.0
     return yaw, pitch, roll
 
@@ -105,7 +106,9 @@ def _first_invalid_rotation(matrices: np.ndarray, tol: float = 1e-6) -> tuple[in
     (N, None) when every matrix passes. A one-matrix stack goes through the
     same matmul and det loops as the 2-D m.T @ m and det(m), with their bits.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
+    # A matrix far from a rotation may warn in these steps (a subnormal LU
+    # pivot divides by zero in det); the fault is named below instead.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         finite = np.isfinite(matrices).all(axis=(1, 2))
         skewed = np.abs(np.matmul(matrices.swapaxes(1, 2), matrices) - _EYE3).max(axis=(1, 2)) > tol
         tilted = np.abs(np.linalg.det(matrices) - 1.0) > tol
@@ -120,9 +123,17 @@ def _first_invalid_rotation(matrices: np.ndarray, tol: float = 1e-6) -> tuple[in
     return k, "rotation matrix determinant is not +1"
 
 
+def _center_fault(center: tuple) -> str:
+    return f"box center must be 3 finite values, got {center}"
+
+
 @dataclass(frozen=True)
 class Box3D:
-    """Oriented 3D box: center (x, y, z), dimensions (h, w, l), orientation."""
+    """Oriented 3D box: center (x, y, z), dimensions (h, w, l), orientation.
+
+    The volume h * w * l must be finite and positive: a box whose volume
+    overflows, or underflows to 0, has no IoU with any box.
+    """
 
     center: tuple[float, float, float]
     dims: tuple[float, float, float]
@@ -132,9 +143,11 @@ class Box3D:
         center = tuple(map(float, self.center))
         dims = tuple(map(float, self.dims))
         if len(center) != 3 or not all(map(math.isfinite, center)):
-            raise ValidationError(f"box center must be 3 finite values, got {center}")
+            raise ValidationError(_center_fault(center))
         if len(dims) != 3 or not all(map(math.isfinite, dims)) or min(dims) <= 0.0:
             raise ValidationError(f"box dims (h, w, l) must be positive, got {dims}")
+        if not 0.0 < dims[0] * dims[1] * dims[2] < math.inf:
+            raise ValidationError(f"box volume h * w * l must be finite and positive, got dims {dims}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", dims)
 

@@ -2,10 +2,11 @@
 # A quick tour of every roadkit command, each run as its own process through
 # `python -m roadkit.cli`: synth, stats, split, eval at two IoU thresholds,
 # compare, convert both ways and transform. Any non-zero exit fails the tour,
-# and so does `eval --pred` on a missing directory exiting other than 2, or
-# `eval` and `transform` on a copy with one corrupted file exiting other than
-# 1 with one stderr line naming that file, or that `transform` leaving its
-# --out directory behind. So does `synth --center-sigma nan` exiting other
+# and so does a round trip kitti_ext -> manifest_json -> kitti_ext through
+# convert that changes a byte (cmp). So does `eval --pred` on a missing
+# directory exiting other than 2, or `eval` and `transform` on a copy with one
+# corrupted file exiting other than 1 with one stderr line naming that file,
+# or that `transform` leaving its --out directory behind. So does `synth --center-sigma nan` exiting other
 # than 1 with one stderr line naming center_sigma, or leaving its --out
 # behind, and `eval` on a copy of the manifest listing "Car" twice in its
 # taxonomy exiting other than 1 with one stderr line. Three overflows must
@@ -39,6 +40,12 @@ rk convert --input "$corpus/manifest.json" --output "$work/labels.txt" \
     --from-format manifest_json --to-format kitti_ext
 rk convert --input "$work/labels.txt" --output "$work/labels.json" \
     --from-format kitti_ext --to-format manifest_json
+rk convert --input "$work/labels.json" --output "$work/labels-back.txt" \
+    --from-format manifest_json --to-format kitti_ext
+if ! cmp "$work/labels.txt" "$work/labels-back.txt"; then
+    echo "kitti_ext -> manifest_json -> kitti_ext changed the bytes" >&2
+    exit 1
+fi
 calib=$(find "$corpus/calib" -name '*.json' | sort | head -n 1)
 rk transform --calib "$calib" --source camera --target world --labels "$corpus/labels" --out "$work/world"
 

@@ -1,18 +1,34 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from roadkit import cli
+from roadkit.camera import RigidTransform
 from roadkit.cli import _build_parser, _load_detection_dir, main
+from roadkit.errors import ValidationError
 from roadkit.evaluation import EvalReport
-from roadkit.formats import AnnotationRecord, DetectionRecord, load_manifest, parse_calibration, parse_labels
+from roadkit.formats import (
+    AnnotationRecord,
+    CalibrationSet,
+    DatasetManifest,
+    DetectionRecord,
+    FrameRecord,
+    dump_calibration,
+    load_manifest,
+    parse_calibration,
+    parse_labels,
+)
 from roadkit.geometry import Box3D, EulerOrientation
 
 from helpers import (
+    reference_dump_manifest,
     reference_kitti_line,
+    reference_load_manifest,
     reference_parse_kitti_text,
     reference_transform_box,
     typed,
@@ -364,6 +380,43 @@ class TestConvertCommand:
         assert len(round_tripped) == len(original)
         assert [r.box3d for r in round_tripped] == [r.box3d for r in original]
 
+    @staticmethod
+    def convert(source, target, from_format, to_format) -> str:
+        argv = ["convert", "--input", str(source), "--output", str(target),
+                "--from-format", from_format, "--to-format", to_format]
+        assert main(argv) == 0
+        return target.read_text()
+
+    @pytest.mark.parametrize("sub", ["labels", "detections"])
+    def test_output_matches_reference(self, corpus, tmp_path, sub):
+        # kitti_ext -> manifest_json is the reference dump of the reference
+        # records in the one frame write_labels makes; manifest_json ->
+        # kitti_ext is the reference line of each reference-loaded record.
+        for path in sorted((corpus / sub).glob("*.txt")):
+            records = reference_parse_kitti_text(path.read_text())
+            frames = (FrameRecord(frame_id="", annotations=records),) if records else ()
+            manifest = DatasetManifest("labels", sorted({r.class_name for r in records}), frames)
+            as_json = self.convert(path, tmp_path / "labels.json", "kitti_ext", "manifest_json")
+            assert as_json == reference_dump_manifest(manifest), path.name
+            back = self.convert(tmp_path / "labels.json", tmp_path / "labels.txt", "manifest_json", "kitti_ext")
+            loaded = [r for frame in reference_load_manifest(as_json).frames for r in frame.annotations]
+            assert back == "".join(reference_kitti_line(r) + "\n" for r in loaded), path.name
+            assert back == path.read_text(), path.name
+
+    def test_manifest_to_kitti_matches_reference(self, corpus, tmp_path):
+        source = corpus / "manifest.json"
+        records = [r for frame in reference_load_manifest(source.read_text()).frames for r in frame.annotations]
+        text = self.convert(source, tmp_path / "labels.txt", "manifest_json", "kitti_ext")
+        assert text == "".join(reference_kitti_line(r) + "\n" for r in records)
+        as_json = self.convert(source, tmp_path / "labels.json", "manifest_json", "manifest_json")
+        by_frame = {}
+        for r in records:
+            by_frame.setdefault(r.frame_id, []).append(r)
+        frames = [FrameRecord(frame_id=fid, annotations=anns) for fid, anns in by_frame.items()]
+        assert as_json == reference_dump_manifest(
+            DatasetManifest("labels", sorted({r.class_name for r in records}), frames)
+        )
+
     def test_bad_format_exits_1(self, corpus, tmp_path):
         code = main(
             [
@@ -495,6 +548,63 @@ class TestMalformedInputExits1:
         _one_error_line(capsys, f"roadkit transform: error: {path.name}: box center must be 3 finite values")
         assert not out.exists()
 
+    def test_calibration_far_from_a_rotation(self, corpus, tmp_path, capsys):
+        # A subnormal entry in R gives det a zero LU pivot: a fault, not a warning.
+        calib = tmp_path / "calib.json"
+        doc = json.loads(sorted((corpus / "calib").glob("*.json"))[0].read_text())
+        doc["transforms"][0]["R"][1] = 2.2e-308
+        calib.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(corpus / "labels"), "--out", str(out)]
+        assert _main_without_warnings(argv) == 1
+        _one_error_line(capsys, "roadkit transform: error: transform 'world'->'camera': rotation matrix is not orthonormal")
+        assert not out.exists()
+
+
+class TestBoxVolumeFault:
+    """A box whose volume h * w * l overflows or underflows to 0 is a fault:
+    one error line naming where it is, exit 1, no numpy warning, no output."""
+
+    @pytest.mark.parametrize("dims", ["1e200 1e200 1e200", "1e-200 1e-200 1.5"])
+    def test_kitti_line(self, corpus, tmp_path, capsys, dims):
+        line = f"Car 0 0 0 -1 -1 -1 -1 {dims} 1 2 20 0.1 0.9\n"
+        message = f"box volume h * w * l must be finite and positive, got dims {tuple(map(float, dims.split()))} (line 2)"
+        pred = tmp_path / "pred"
+        shutil.copytree(corpus / "detections", pred)
+        path = sorted(pred.glob("*.txt"))[1]
+        path.write_text(path.read_text().splitlines()[0] + "\n" + line)
+        report, out, converted = tmp_path / "report.json", tmp_path / "out", tmp_path / "labels.json"
+        argv = ["eval", "--gt", str(corpus / "manifest.json"), "--pred", str(pred), "--out-json", str(report)]
+        assert _main_without_warnings(argv) == 1
+        _one_error_line(capsys, f"roadkit eval: error: {path.name}: {message}")
+        calib = sorted((corpus / "calib").glob("*.json"))[0]
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(pred), "--out", str(out)]
+        assert _main_without_warnings(argv) == 1
+        _one_error_line(capsys, f"roadkit transform: error: {path.name}: {message}")
+        argv = ["convert", "--input", str(path), "--output", str(converted),
+                "--from-format", "kitti_ext", "--to-format", "manifest_json"]
+        assert _main_without_warnings(argv) == 1
+        _one_error_line(capsys, f"roadkit convert: error: {message}")
+        assert not report.exists() and not out.exists() and not converted.exists()
+
+    def test_manifest_annotation(self, corpus, tmp_path, capsys):
+        doc = json.loads((corpus / "manifest.json").read_text())
+        frame = doc["frames"][1]
+        frame["annotations"][0]["box3d"]["dims"] = [1e200, 1e200, 1e200]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        needle = f"frame {frame['frame_id']!r}: box volume h * w * l must be finite and positive"
+        for argv in (
+            ["eval", "--gt", str(path), "--pred", str(corpus / "detections")],
+            ["stats", "--manifest", str(path)],
+            ["convert", "--input", str(path), "--output", str(tmp_path / "labels.txt"),
+             "--from-format", "manifest_json", "--to-format", "kitti_ext"],
+        ):
+            assert _main_without_warnings(argv) == 1
+            _one_error_line(capsys, f"roadkit {argv[0]}: error: malformed annotation object in {needle}")
+        assert not (tmp_path / "labels.txt").exists()
 
 def _constructed_copy(record: AnnotationRecord, box3d: Box3D) -> AnnotationRecord:
     """The record with a new box, built through the public constructors."""
@@ -591,6 +701,94 @@ class TestTransformCommand:
             ]
         )
         assert code == 1
+
+
+# Lines for the transform fault-order tests, under _near_rotation_calibration:
+# one that moves, one whose moved center overflows, one whose moved rotation
+# fails the rotation check, and one that does not parse.
+_GOOD = "Car 0 0 0 -1 -1 -1 -1 1.5 1.8 4.2 1 2 20 0.1"
+_OVERFLOW = "Car 0 0 0 -1 -1 -1 -1 1.5 1.8 4.2 1e308 2 20 0.1"
+_TILTED = "Car 0 0 0 -1 -1 -1 -1 1.5 1.8 4.2 3 1 25 0.785398 -0.61548 0.2"
+_UNPARSED = "Car x 0 0 -1 -1 -1 -1 1.5 1.8 4.2 1 2 20 0.1"
+
+
+def _near_rotation_calibration(corpus, path) -> RigidTransform:
+    """A camera->world calibration whose R = I + e(J - I)/2 passes the 1e-6
+    checks but fails them times a box rotation whose local z points along
+    (1, 1, 1), and whose translation of 1e308 along x overflows a center at
+    x = 1e308 (see tests/test_camera.py)."""
+    eps = 0.9e-6
+    rot = np.eye(3) + 0.5 * eps * (np.ones((3, 3)) - np.eye(3))
+    rigid = RigidTransform(rot, np.array([1e308, 0.0, 0.0]), "camera", "world")
+    intrinsics = parse_calibration(sorted((corpus / "calib").glob("*.json"))[0].read_text()).intrinsics
+    path.write_text(dump_calibration(CalibrationSet(intrinsics=intrinsics, transforms=(rigid,))))
+    return rigid
+
+
+def _reference_transform_fault(rigid, paths) -> str | None:
+    """The first fault of reading and moving each file in turn, one box at a
+    time, with the file's name before it, or None."""
+    for path in paths:
+        try:
+            records = reference_parse_kitti_text(path.read_text())
+            with np.errstate(over="ignore"):
+                for record in records:
+                    reference_transform_box(rigid, record.box3d)
+        except ValidationError as exc:
+            return f"{path.name}: {exc}"
+    return None
+
+
+class TestTransformFaultOrder:
+    """transform reports the fault that reading and moving one file at a time
+    meets first, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "files, kind",
+        [
+            # A move fault in file 2 comes before a parse fault in file 3; in
+            # one file, the first box at fault decides which move fault.
+            (([_GOOD], [_GOOD, _OVERFLOW, _TILTED], [_UNPARSED]), "box center must be 3 finite values"),
+            (([_GOOD], [_GOOD, _TILTED, _OVERFLOW], [_UNPARSED]), "rotation matrix is not orthonormal"),
+            (([_GOOD], [_OVERFLOW, _TILTED], [_GOOD]), "box center must be 3 finite values"),
+            (([_GOOD], [_TILTED, _GOOD], [_OVERFLOW]), "rotation matrix is not orthonormal"),
+            (([_GOOD], [_GOOD], [_UNPARSED]), "cannot parse 'x' as a number"),
+            (([_UNPARSED], [_OVERFLOW], [_TILTED]), "cannot parse 'x' as a number"),
+        ],
+    )
+    def test_first_fault_is_reported(self, corpus, tmp_path, capsys, files, kind):
+        calib = tmp_path / "calib.json"
+        rigid = _near_rotation_calibration(corpus, calib)
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        paths = []
+        for name, lines in zip("abc", files):
+            paths.append(labels / f"{name}.txt")
+            paths[-1].write_text("\n".join(lines) + "\n")
+        expected = _reference_transform_fault(rigid, paths)
+        assert expected is not None and kind in expected
+        out = tmp_path / "out"
+        argv = ["transform", "--calib", str(calib), "--source", "camera", "--target", "world",
+                "--labels", str(labels), "--out", str(out)]
+        assert _main_without_warnings(argv) == 1
+        assert capsys.readouterr().err == f"roadkit transform: error: {expected}\n"
+        assert not out.exists()
+
+    def test_good_files_move_like_reference(self, corpus, tmp_path):
+        # The same calibration moves the good lines; the two fault lines
+        # above are faults only under it.
+        calib = tmp_path / "calib.json"
+        rigid = _near_rotation_calibration(corpus, calib)
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        (labels / "a.txt").write_text(_GOOD + "\n" + _GOOD.replace(" 20 ", " 30 ") + "\n")
+        assert _reference_transform_fault(rigid, [labels / "a.txt"]) is None
+        out = tmp_path / "out"
+        assert _main_without_warnings(["transform", "--calib", str(calib), "--source", "camera",
+                                       "--target", "world", "--labels", str(labels), "--out", str(out)]) == 0
+        moved = [_constructed_copy(r, reference_transform_box(rigid, r.box3d))
+                 for r in reference_parse_kitti_text((labels / "a.txt").read_text())]
+        assert (out / "a.txt").read_text() == "".join(reference_kitti_line(r) + "\n" for r in moved)
 
 
 class TestCompareCommand:

@@ -31,7 +31,7 @@ from roadkit.formats import (
     write_labels,
 )
 from roadkit import formats
-from roadkit.formats import _parse_kitti_line
+from roadkit.formats import _kitti_row, _record
 from roadkit.geometry import Box3D, EulerOrientation, rotation_from_euler
 
 from helpers import (
@@ -48,6 +48,11 @@ from helpers import (
 
 
 BASE_LINE = "Car 0 0 0.1 100 200 300 400 1.5 1.8 4.2 2 1 20 0.5"
+
+
+def _parse_kitti_line(line: str, line_no: int):
+    """The record of one kitti_ext line, as parse_labels builds it."""
+    return _record(_kitti_row(line, line_no), "")
 
 
 def random_record(rng: np.random.Generator, with_score: bool, frame_id: str = ""):
@@ -866,6 +871,33 @@ class TestManifestWriter:
             frames=[FrameRecord(frame_id=fid, annotations=anns) for fid, anns in by_frame.items()],
         )
         assert write_labels(records, "manifest_json") == reference_dump_manifest(expected)
+
+    def test_write_labels_of_code_built_records(self):
+        # Ints, np.float64 and -0.0 where the constructors keep them as given,
+        # and a missing box2d, in three frames with one of them split: both
+        # formats write each record's values as the reference writers do.
+        records = [
+            make_annotation(truncation=1, occlusion=2, box2d=None, frame_id="b"),
+            make_detection(truncation=np.float64(0.25), score=1, center=(0, -0.0, 7), yaw=-0.0, frame_id="a"),
+            make_detection(truncation=-0.0, score=np.float64(0.5), dims=(1, 2, 3), box2d=(0, -0.0, 5, 6),
+                           pitch=np.float64(-0.0), roll=np.float64(1e-7), frame_id="b"),
+            make_annotation(class_name="Bus", truncation=0, center=(np.float64(1.5), 2, 3), frame_id="c"),
+            make_detection(class_name="Bus", truncation=np.float64(-0.0), score=0, frame_id="a"),
+        ]
+        assert write_labels(records, "kitti_ext") == "".join(reference_kitti_line(r) + "\n" for r in records)
+        by_frame = {}
+        for r in records:
+            by_frame.setdefault(r.frame_id, []).append(r)
+        expected = DatasetManifest(
+            name="labels",
+            class_taxonomy=("Bus", "Car"),
+            frames=[FrameRecord(frame_id=fid, annotations=anns) for fid, anns in by_frame.items()],
+        )
+        assert write_labels(records, "manifest_json") == reference_dump_manifest(expected)
+        assert write_labels([], "manifest_json") == reference_dump_manifest(DatasetManifest("labels", ()))
+        # Records are read once, so an iterator writes as its list does.
+        for fmt in ("kitti_ext", "manifest_json"):
+            assert write_labels(iter(records), fmt) == write_labels(records, fmt)
 
     def test_non_string_tag_values(self):
         frame = FrameRecord("f0", tags={"count": 3, "nested": [1, {"b": None, "a": 2.5}], "x": "y"})

@@ -207,6 +207,16 @@ class TestBox3D:
         with pytest.raises(ValidationError):
             Box3D(center=(math.inf, 0, 0), dims=(1, 1, 1))
 
+    @pytest.mark.parametrize("dims", [(1e200, 1e200, 1e200), (1e308, 1.5, 2.0), (5e-324, 0.4, 1.0), (1e-200, 1e-200, 1.5)])
+    def test_rejects_volume_that_overflows_or_underflows(self, dims):
+        with pytest.raises(ValidationError, match=r"^box volume h \* w \* l must be finite and positive, got dims "):
+            Box3D(center=(0, 0, 0), dims=dims)
+
+    def test_keeps_extreme_dims_of_a_finite_volume(self):
+        for dims in [(1e-300, 1e300, 5e-324), (1e154, 1e154, 1e-10), (5e-324, 3.0, 1.0)]:
+            box = Box3D(center=(0, 0, 0), dims=dims)
+            assert 0.0 < box.volume < math.inf
+
     def test_corners_axis_aligned(self):
         box = Box3D(center=(10.0, 20.0, 30.0), dims=(2.0, 4.0, 6.0))
         corners = box_corners(box)
