@@ -14,8 +14,9 @@ from .geometry import (
     _box_arrays,
     _center_fault,
     _corners,
+    _ROTATION_FAULTS,
     _euler_angles,
-    _first_invalid_rotation,
+    _rotation_faults,
     normalize_angle,
     validate_rotation,
 )
@@ -198,20 +199,56 @@ def transform_box(
 def _transform_boxes(extrinsics: RigidTransform, boxes: Sequence[Box3D]) -> list[Box3D]:
     """transform_box of each box, raising the first box's fault."""
     centers, rotations, _ = _box_arrays(boxes)
-    return _move_boxes(extrinsics, centers, [box.dims for box in boxes], rotations)
-
-
-def _move_boxes(
-    extrinsics: RigidTransform, centers: np.ndarray, dims: Sequence, rotations: np.ndarray
-) -> list[Box3D]:
-    """The boxes _move_poses gives, with (h, w, l) rows dims; raises its fault."""
     moved, fault = _move_poses(extrinsics, centers, rotations)
     if fault is not None:
         raise ValidationError(fault)
     return [
-        Box3D(center=pose[:3], dims=size, orientation=EulerOrientation(*pose[3:]))
-        for pose, size in zip(moved, dims)
+        Box3D(center=pose[:3], dims=box.dims, orientation=EulerOrientation(*pose[3:]))
+        for pose, box in zip(moved, boxes)
     ]
+
+
+_CENTER_FAULT = len(_ROTATION_FAULTS)  # the fault code of a moved center that is not finite
+
+
+def _move_arrays(
+    rotation: np.ndarray, translation: np.ndarray, centers: np.ndarray, rotations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes given as (N, 3) centers and (N, 3, 3) rotations, moved by one
+    rotation (3, 3) and translation (3,), or by one of each per box, (N, 3, 3)
+    and (N, 3), with the bits of one box at a time.
+
+    Returns the moved centers and rotations, and each box's fault code: its
+    moved rotation's _rotation_faults code, or else _CENTER_FAULT when its
+    moved center is not finite, or else 0.
+
+    Each center goes through the product of RigidTransform.apply as a
+    stacked 1x3 row, which gets the bits of one point, and each rotation
+    through the same 3x3 product; a per-box rotation runs the same loop.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing center is a fault
+        centers = (np.matmul(centers[:, None, :], np.swapaxes(rotation, -1, -2)) + translation[..., None, :])[:, 0]
+        rotations = np.matmul(rotation, rotations)
+    faults = _rotation_faults(rotations)
+    faults[(faults == 0) & ~np.isfinite(centers).all(axis=1)] = _CENTER_FAULT
+    return centers, rotations, faults
+
+
+def _move_fault(code: int, center: np.ndarray) -> str:
+    """The message of a _move_arrays fault code, for a box with this moved
+    center: validate_rotation's, or Box3D's for its center."""
+    return _center_fault(tuple(center.tolist())) if code == _CENTER_FAULT else _ROTATION_FAULTS[code]
+
+
+def _euler_rows(rotations: np.ndarray) -> list[tuple[float, float, float]]:
+    """(yaw, pitch, roll) of each rotation of a valid (N, 3, 3) stack, each
+    angle in (-pi, pi]."""
+    angles = []
+    for start in range(0, len(rotations), _BLOCK):
+        for rotation in rotations[start : start + _BLOCK].reshape(-1, 9).tolist():
+            yaw, pitch, roll = _euler_angles(rotation)
+            angles.append((normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll)))
+    return angles
 
 
 def _move_poses(
@@ -224,25 +261,13 @@ def _move_poses(
     (-pi, pi], up to the first box at fault, and that fault's message, or
     None. A box is at fault when its moved center is not finite or its moved
     rotation is one validate_rotation rejects, with Box3D's and
-    validate_rotation's messages.
-
-    Each center goes through extrinsics.apply as a stacked 1x3 row, which
-    gets the bits of one point, and each rotation through the same 3x3 product.
+    validate_rotation's messages (_move_arrays).
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing center is a fault
-        centers = extrinsics.apply(centers[:, None, :])[:, 0]
-        rotations = np.matmul(extrinsics.rotation, rotations)
-    stop, fault = _first_invalid_rotation(rotations)
-    finite = np.isfinite(centers[:stop]).all(axis=1)
-    if not finite.all():
-        stop = int(np.argmin(finite))
-        fault = _center_fault(tuple(centers[stop].tolist()))
-    moved = []
-    for start in range(0, stop, _BLOCK):
-        block = slice(start, min(start + _BLOCK, stop))
-        for center, rotation in zip(centers[block].tolist(), rotations[block].reshape(-1, 9).tolist()):
-            yaw, pitch, roll = _euler_angles(rotation)
-            moved.append((*center, normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll)))
+    centers, rotations, faults = _move_arrays(extrinsics.rotation, extrinsics.translation, centers, rotations)
+    bad = np.flatnonzero(faults)
+    stop = int(bad[0]) if bad.size else len(faults)
+    fault = _move_fault(faults[stop], centers[stop]) if bad.size else None
+    moved = [(*center, *angles) for center, angles in zip(centers[:stop].tolist(), _euler_rows(rotations[:stop]))]
     return moved, fault
 
 
@@ -270,23 +295,45 @@ def project_box(
     rectangle. `visible` is False when every corner is behind the camera or
     the rectangle falls fully outside the image.
     """
-    return _project_boxes(intrinsics, [box], extrinsics)[0]
+    return _projected(*_project_boxes(intrinsics, *_box_arrays([box]), extrinsics))[0]
+
+
+def _projected(
+    seen: np.ndarray, visible: np.ndarray, unclipped: np.ndarray, rect: np.ndarray
+) -> list[ProjectedBox]:
+    """The ProjectedBox of each box of _project_boxes' arrays."""
+    out = []
+    for ahead, shown, corners, clipped in zip(seen.tolist(), visible.tolist(), unclipped.tolist(), rect.tolist()):
+        if not ahead:
+            out.append(ProjectedBox(rect=None, visible=False))
+        elif not shown:
+            out.append(ProjectedBox(rect=None, visible=False, unclipped=tuple(corners)))
+        else:
+            out.append(ProjectedBox(rect=tuple(clipped), visible=True, unclipped=tuple(corners)))
+    return out
 
 
 def _project_boxes(
     intrinsics: Intrinsics,
-    boxes: Sequence[Box3D],
+    centers: np.ndarray,
+    rotations: np.ndarray,
+    halves: np.ndarray,
     extrinsics: RigidTransform | None = None,
-) -> list[ProjectedBox]:
-    """project_box of each box, with one stacked product per stage.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """project_box of each box given as _box_arrays gives it, with one
+    stacked product per stage, as arrays: whether any corner is ahead of the
+    camera (N,), whether the box is visible (N,), and its (x1, y1, x2, y2)
+    rectangle before clipping to the image (N, 4) and after (N, 4).
 
     Every corner of every box is projected, behind the camera or not, and the
     corners behind it are dropped afterwards. A row of a stacked matmul gets
     the bits it gets in a product of the corners ahead alone, except when a
     box has one corner ahead: matmul runs a lone row through its vector loop,
     which may round differently, so that corner is projected as a lone row.
+    The clip takes an edge where max(x1, 0.0) and min(x2, width) would, so
+    that -0.0 and NaN come out as they do from Python's max and min.
     """
-    cam = _corners(*_box_arrays(boxes))
+    cam = _corners(centers, rotations, halves)
     k_t = intrinsics.matrix.T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if extrinsics is not None:
@@ -298,21 +345,11 @@ def _project_boxes(
             corner = np.argmax(front[lone], axis=1)
             uv[lone, corner] = np.matmul(cam[lone, corner][:, None], k_t)[:, 0]
         uv = uv[..., :2] / cam[..., 2:]
-    lo = np.where(front[..., None], uv, np.inf).min(axis=1).tolist()
-    hi = np.where(front[..., None], uv, -np.inf).max(axis=1).tolist()
-    width, height = float(intrinsics.image_width), float(intrinsics.image_height)
-    out = []
-    for seen, (x1, y1), (x2, y2) in zip(front.any(axis=1).tolist(), lo, hi):
-        if not seen:
-            out.append(ProjectedBox(rect=None, visible=False))
-            continue
-        unclipped = (x1, y1, x2, y2)
-        cx1 = max(x1, 0.0)
-        cy1 = max(y1, 0.0)
-        cx2 = min(x2, width)
-        cy2 = min(y2, height)
-        if cx1 >= cx2 or cy1 >= cy2:
-            out.append(ProjectedBox(rect=None, visible=False, unclipped=unclipped))
-        else:
-            out.append(ProjectedBox(rect=(cx1, cy1, cx2, cy2), visible=True, unclipped=unclipped))
-    return out
+        lo = np.where(front[..., None], uv, np.inf).min(axis=1)
+        hi = np.where(front[..., None], uv, -np.inf).max(axis=1)
+        size = np.array([float(intrinsics.image_width), float(intrinsics.image_height)])
+        clipped_lo = np.where(0.0 > lo, 0.0, lo)
+        clipped_hi = np.where(size < hi, size, hi)
+        seen = front.any(axis=1)
+        visible = seen & ~(clipped_lo >= clipped_hi).any(axis=1)
+    return seen, visible, np.hstack([lo, hi]), np.hstack([clipped_lo, clipped_hi])

@@ -28,6 +28,7 @@ from .evaluation import (
 )
 from .formats import (
     DetectionRecord,
+    _dump_document,
     _kitti_rows,
     _kitti_text,
     _label_rows,
@@ -36,12 +37,10 @@ from .formats import (
     _write_rows,
     dataset_stats,
     dump_calibration,
-    dump_manifest,
     load_manifest,
     parse_calibration,
-    write_labels,
 )
-from .synth import NoiseSpec, SceneConfig, corrupt_detections, generate_corpus
+from .synth import NoiseSpec, SceneConfig, _corpus, _detection_rows
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,25 +227,23 @@ def _cmd_synth(args) -> int:
         dim_sigma=args.dim_sigma,
         angle_sigma=args.angle_sigma,
     )
-    manifest, calibrations = generate_corpus(config, args.frames, args.seed)
+    manifest, labels, calibrations = _corpus(config, args.frames, args.seed)
     # Every frame's detections are made before --out is, so a fault in any
     # of them leaves no output behind.
-    detections = [
-        corrupt_detections(frame, noise, seed=args.seed + 1_000_003 * (i + 1), config=config)
-        for i, frame in enumerate(manifest.frames)
-    ]
+    seeds = [args.seed + 1_000_003 * (i + 1) for i in range(len(labels))]
+    detections = _detection_rows(labels, noise, seeds, config)
     out = Path(args.out)
     (out / "calib").mkdir(parents=True, exist_ok=True)
     (out / "labels").mkdir(exist_ok=True)
     (out / "detections").mkdir(exist_ok=True)
-    (out / "manifest.json").write_text(dump_manifest(manifest))
+    (out / "manifest.json").write_text(
+        _dump_document(manifest.name, manifest.class_taxonomy, zip(manifest.frames, labels))
+    )
     for ref, calibration in sorted(calibrations.items()):
         (out / "calib" / f"{ref}.json").write_text(dump_calibration(calibration))
-    for frame, records in zip(manifest.frames, detections):
-        (out / "labels" / f"{frame.frame_id}.txt").write_text(
-            write_labels(frame.annotations, "kitti_ext")
-        )
-        (out / "detections" / f"{frame.frame_id}.txt").write_text(write_labels(records, "kitti_ext"))
+    for frame, frame_labels, frame_detections in zip(manifest.frames, labels, detections):
+        (out / "labels" / f"{frame.frame_id}.txt").write_text(_kitti_text(frame_labels))
+        (out / "detections" / f"{frame.frame_id}.txt").write_text(_kitti_text(frame_detections))
     if args.verbose:
         print(f"wrote {len(manifest.frames)} frames to {out}", file=sys.stderr)
     return 0

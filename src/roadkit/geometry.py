@@ -99,28 +99,40 @@ def validate_rotation(matrix: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return m
 
 
-def _first_invalid_rotation(matrices: np.ndarray, tol: float = 1e-6) -> tuple[int, str | None]:
-    """The checks of validate_rotation over a (N, 3, 3) stack in one pass.
+# validate_rotation's messages by fault code, in the order it checks; 0 passes.
+_ROTATION_FAULTS = (
+    None,
+    "rotation matrix holds non-finite entries",
+    "rotation matrix is not orthonormal",
+    "rotation matrix determinant is not +1",
+)
 
-    Returns the index of the first matrix it rejects with the reason, or
-    (N, None) when every matrix passes. A one-matrix stack goes through the
-    same matmul and det loops as the 2-D m.T @ m and det(m), with their bits.
+
+def _rotation_faults(matrices: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """The checks of validate_rotation over a (N, 3, 3) stack in one pass:
+    each matrix's fault code, an index into _ROTATION_FAULTS.
+
+    A one-matrix stack goes through the same matmul and det loops as the
+    2-D m.T @ m and det(m), with their bits.
     """
     # A matrix far from a rotation may warn in these steps (a subnormal LU
-    # pivot divides by zero in det); the fault is named below instead.
+    # pivot divides by zero in det); the fault code names it instead.
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         finite = np.isfinite(matrices).all(axis=(1, 2))
         skewed = np.abs(np.matmul(matrices.swapaxes(1, 2), matrices) - _EYE3).max(axis=(1, 2)) > tol
         tilted = np.abs(np.linalg.det(matrices) - 1.0) > tol
-    faults = ~finite | skewed | tilted
-    if not faults.any():
+    return np.select([~finite, skewed, tilted], [1, 2, 3])
+
+
+def _first_invalid_rotation(matrices: np.ndarray, tol: float = 1e-6) -> tuple[int, str | None]:
+    """The index of the first matrix of a (N, 3, 3) stack that validate_rotation
+    rejects, with the reason, or (N, None) when every matrix passes."""
+    faults = _rotation_faults(matrices, tol)
+    bad = np.flatnonzero(faults)
+    if not bad.size:
         return len(matrices), None
-    k = int(np.argmax(faults))
-    if not finite[k]:
-        return k, "rotation matrix holds non-finite entries"
-    if skewed[k]:
-        return k, "rotation matrix is not orthonormal"
-    return k, "rotation matrix determinant is not +1"
+    k = int(bad[0])
+    return k, _ROTATION_FAULTS[faults[k]]
 
 
 def _center_fault(center: tuple) -> str:

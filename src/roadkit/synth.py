@@ -8,23 +8,27 @@ camera-frame annotations arises purely from the camera's downward tilt.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .camera import Intrinsics, RigidTransform, _move_boxes, _project_boxes
+from .camera import Intrinsics, RigidTransform, _euler_rows, _move_arrays, _move_fault, _project_boxes
 from .datasets import splitmix64
-from .errors import GenerationError, ValidationError
+from .errors import GenerationError, RoadkitError, ValidationError
 from .formats import (
-    AnnotationRecord,
     CalibrationSet,
     DatasetManifest,
     DetectionRecord,
     FrameRecord,
     Occlusion,
+    _record,
+    _record_row,
 )
-from .geometry import Box3D, EulerOrientation, normalize_angle
+from .geometry import Box3D, EulerOrientation, _param_arrays, normalize_angle
 
 # Nominal (h, w, l) per class, meters.
 NOMINAL_DIMS = {
@@ -155,9 +159,10 @@ def _class_sampler(mix: tuple[tuple[str, float], ...]) -> tuple[list[str], np.nd
     return [name for name, _ in mix], cdf
 
 
-def _pick_class(rng: np.random.Generator, names: list[str], cdf: np.ndarray) -> str:
-    """Draw one class: the same draw and result as rng.choice(len(names), p=weights)."""
-    return names[int(cdf.searchsorted(rng.random(), side="right"))]
+def _pick_classes(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The class index of each rng.random() draw: the same draw and result as
+    rng.choice(len(cdf), p=weights)."""
+    return cdf.searchsorted(draws, side="right")
 
 
 @dataclass(frozen=True)
@@ -182,23 +187,90 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
     """
     if seed < 0:
         raise ValidationError(f"scene seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    pitch_deg = float(rng.uniform(*config.pitch_range_deg))
-    extrinsics = _camera_pose(pitch_deg, config.camera_height)
+    fid = frame_id if frame_id is not None else f"synth-{seed:016x}"
+    [(sample, rows)] = _scenes(config, [seed], [fid])
+    return replace(sample, frame=_annotated(sample.frame, rows))
+
+
+def _annotated(frame: FrameRecord, rows: list[tuple]) -> FrameRecord:
+    """The frame holding the records of its annotation rows."""
+    return replace(frame, annotations=tuple(_record(row, frame.frame_id) for row in rows))
+
+
+class _Placement:
+    """One frame under placement: its generator, camera pose and object
+    count, drawn as generate_scene draws them, its annotation rows placed so
+    far, and its consecutive misses since the last one placed."""
+
+    __slots__ = ("rng", "pitch_deg", "extrinsics", "count", "rows", "misses")
+
+    def __init__(self, config: SceneConfig, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.pitch_deg = float(self.rng.uniform(*config.pitch_range_deg))
+        self.extrinsics = _camera_pose(self.pitch_deg, config.camera_height)
+        self.count = int(self.rng.integers(config.objects_per_frame[0], config.objects_per_frame[1] + 1))
+        self.rows: list[tuple] = []
+        self.misses = 0
+
+
+_GROUP_OBJECTS = 4096  # objects of the frames placed together, at which a group closes
+
+
+def _scenes(
+    config: SceneConfig, seeds: Sequence[int], frame_ids: Sequence[str]
+) -> list[tuple[SceneSample, list[tuple]]]:
+    """The scene generate_scene makes of each seed, with its frame id, the
+    frame holding no annotations, beside the frame's annotation rows
+    (formats' label rows). Raises the fault that generating the scenes one
+    at a time, in seed order, meets first.
+
+    Consecutive frames are placed together (_place), in groups that close
+    when their object counts reach _GROUP_OBJECTS, which bounds the arrays
+    of one round.
+    """
+    scenes: list[tuple[SceneSample, list[tuple]]] = []
+    group: list[_Placement] = []
+    objects = 0
+    for seed in seeds:
+        group.append(_Placement(config, seed))
+        objects += group[-1].count
+        if objects >= _GROUP_OBJECTS:
+            scenes += _place(config, group, frame_ids[len(scenes) : len(scenes) + len(group)])
+            group, objects = [], 0
+    return scenes + _place(config, group, frame_ids[len(scenes) :])
+
+
+def _place(
+    config: SceneConfig, frames: list[_Placement], frame_ids: Sequence[str]
+) -> list[tuple[SceneSample, list[tuple]]]:
+    """Place the objects of the frames, then draw their tags; see _scenes.
+
+    Placement runs in rounds. In each, every frame with objects still
+    unplaced draws its next block of attempts from its own generator, and
+    the blocks of all those frames are moved, checked, decomposed and
+    projected as one stack, each attempt by its own frame's camera. Each
+    frame then takes its attempts in order, as generate_scene takes them. A
+    frame stops at its first fault: a moved box that fails a check, which
+    comes before any projection of its block, or its 200th miss in a row.
+    Frames after the first frame at fault are not placed further, and that
+    frame's fault is raised once every frame before it is done.
+    """
     intrinsics = config.intrinsics()
-    count = int(rng.integers(config.objects_per_frame[0], config.objects_per_frame[1] + 1))
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
     names, cdf = _class_sampler(config.class_mix)
     nominal = np.array([NOMINAL_DIMS[name] for name in names])
     # Bounds of an attempt's 7 draws; uniform(0, 1) gives the bits of rng.random().
     low = np.array([0.0, 0.9, 0.9, 0.9, config.min_range, -half_fov * 0.85, -math.pi])
     high = np.array([1.0, 1.1, 1.1, 1.1, config.max_range * 0.95, half_fov * 0.85, math.pi])
-    annotations = []
-    fid = frame_id if frame_id is not None else f"synth-{seed:016x}"
-    misses = 0
-    while len(annotations) < count:
-        draws = rng.uniform(low, high, (count - len(annotations), 7))
-        kinds = cdf.searchsorted(draws[:, 0], side="right")
+    camera_rotations = np.reshape([frame.extrinsics.rotation for frame in frames], (-1, 3, 3))
+    camera_translations = np.reshape([frame.extrinsics.translation for frame in frames], (-1, 3))
+    faults: dict[int, RoadkitError] = {}
+    active = [k for k, frame in enumerate(frames) if frame.count]
+    while active:
+        blocks = [frames[k].rng.uniform(low, high, (frames[k].count - len(frames[k].rows), 7)) for k in active]
+        owner = np.repeat(active, [len(block) for block in blocks])
+        draws = np.concatenate(blocks)
+        kinds = _pick_classes(cdf, draws[:, 0])
         dims = nominal[kinds] * draws[:, 1:4]
         distance, bearing = draws[:, 4], draws[:, 5].tolist()
         centers = np.column_stack([
@@ -206,47 +278,66 @@ def generate_scene(config: SceneConfig, seed: int, frame_id: str | None = None) 
             distance * np.array([math.sin(b) for b in bearing]),
             dims[:, 0] / 2.0,
         ])
-        boxes = _move_boxes(extrinsics, centers, dims.tolist(), _world_box_rotations(draws[:, 6].tolist()))
-        for kind, box, projected in zip(kinds.tolist(), boxes, _project_boxes(intrinsics, boxes)):
-            if not projected.visible:
-                misses += 1
-                if misses == 200:
-                    raise GenerationError(
-                        f"could not place object {len(annotations) + 1} of {count}; "
+        centers, rotations, codes = _move_arrays(
+            camera_rotations[owner], camera_translations[owner], centers, _world_box_rotations(draws[:, 6].tolist())
+        )
+        bad = np.flatnonzero(codes)
+        for row in bad[np.unique(owner[bad], return_index=True)[1]]:
+            faults[int(owner[row])] = ValidationError(_move_fault(codes[row], centers[row]))
+        ok = ~np.isin(owner, owner[bad])
+        owner, kinds, dims, centers = owner[ok], kinds[ok], dims[ok], centers[ok]
+        params = np.column_stack([centers, dims, np.reshape(_euler_rows(rotations[ok]), (-1, 3))])
+        _, visible, unclipped, rect = _project_boxes(intrinsics, *_param_arrays(params))
+        truncations = _truncations(unclipped, rect)
+        for k, shown, kind, truncation, box2d, box in zip(
+            owner.tolist(), visible.tolist(), kinds.tolist(), truncations.tolist(), rect.tolist(), params.tolist()
+        ):
+            frame = frames[k]
+            if k in faults:
+                continue
+            if not shown:
+                frame.misses += 1
+                if frame.misses == 200:
+                    faults[k] = GenerationError(
+                        f"could not place object {len(frame.rows) + 1} of {frame.count}; "
                         f"config frustum too small for the requested density"
                     )
                 continue
-            misses = 0
-            x1, y1, x2, y2 = projected.unclipped
-            raw = (x2 - x1) * (y2 - y1)
-            truncation = 0.0
-            if raw > 0.0:
-                rect = projected.rect
-                clipped_area = (rect[2] - rect[0]) * (rect[3] - rect[1])
-                truncation = min(1.0, max(0.0, 1.0 - clipped_area / raw))
-            annotations.append(
-                AnnotationRecord(
-                    class_name=names[kind],
-                    truncation=truncation,
-                    occlusion=Occlusion.FULLY_VISIBLE,
-                    box2d=projected.rect,
-                    box3d=box,
-                    frame_id=fid,
-                )
-            )
-    frame = FrameRecord(
-        frame_id=fid,
-        image_path=f"{fid}.png",
-        image_size=config.image_size,
-        calibration_ref=f"calib-{fid}",
-        annotations=tuple(annotations),
-        tags=(
-            ("time", TIME_TAGS[int(rng.integers(0, len(TIME_TAGS)))]),
-            ("weather", WEATHER_TAGS[int(rng.integers(0, len(WEATHER_TAGS)))]),
-        ),
-    )
-    calibration = CalibrationSet(intrinsics=intrinsics, transforms=(extrinsics,))
-    return SceneSample(frame=frame, calibration=calibration, pitch_deg=pitch_deg)
+            frame.misses = 0
+            frame.rows.append((names[kind], truncation, Occlusion.FULLY_VISIBLE, tuple(box2d), None, tuple(box)))
+        first = min(faults, default=len(frames))
+        active = [k for k in active if k < first and len(frames[k].rows) < frames[k].count]
+    if faults:
+        raise faults[min(faults)]
+    scenes = []
+    for frame, fid in zip(frames, frame_ids):
+        tags = (
+            ("time", TIME_TAGS[int(frame.rng.integers(0, len(TIME_TAGS)))]),
+            ("weather", WEATHER_TAGS[int(frame.rng.integers(0, len(WEATHER_TAGS)))]),
+        )
+        record = FrameRecord(
+            frame_id=fid,
+            image_path=f"{fid}.png",
+            image_size=config.image_size,
+            calibration_ref=f"calib-{fid}",
+            tags=tags,
+        )
+        calibration = CalibrationSet(intrinsics=intrinsics, transforms=(frame.extrinsics,))
+        scenes.append((SceneSample(frame=record, calibration=calibration, pitch_deg=frame.pitch_deg), frame.rows))
+    return scenes
+
+
+def _truncations(unclipped: np.ndarray, rect: np.ndarray) -> np.ndarray:
+    """Each box's truncation, the share of its unclipped rectangle's area
+    outside the image, as min(1.0, max(0.0, 1.0 - clipped area / area)), and
+    0.0 where the area is not positive."""
+    x1, y1, x2, y2 = unclipped.T
+    cx1, cy1, cx2, cy2 = rect.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = (x2 - x1) * (y2 - y1)
+        share = 1.0 - (cx2 - cx1) * (cy2 - cy1) / raw
+        share = np.where(share > 0.0, share, 0.0)
+        return np.where(raw > 0.0, np.where(share < 1.0, share, 1.0), 0.0)
 
 
 def generate_corpus(
@@ -257,18 +348,25 @@ def generate_corpus(
     Frame i uses splitmix64(seed ^ i) so frames can be produced independently
     and in parallel while remaining deterministic.
     """
+    manifest, rows, calibrations = _corpus(config, n_frames, seed)
+    frames = tuple(_annotated(frame, frame_rows) for frame, frame_rows in zip(manifest.frames, rows))
+    return replace(manifest, frames=frames), calibrations
+
+
+def _corpus(
+    config: SceneConfig, n_frames: int, seed: int
+) -> tuple[DatasetManifest, list[list[tuple]], dict[str, CalibrationSet]]:
+    """generate_corpus with the annotations as label rows: its manifest, the
+    frames holding no annotations, each frame's annotation rows, and the
+    calibrations."""
     if n_frames < 0:
         raise ValidationError(f"number of frames must be >= 0, got {n_frames}")
-    frames = []
-    calibrations: dict[str, CalibrationSet] = {}
-    for i in range(n_frames):
-        _, child_seed = splitmix64((seed ^ i) & ((1 << 64) - 1))
-        sample = generate_scene(config, child_seed, frame_id=f"synth-{seed}-{i:06d}")
-        frames.append(sample.frame)
-        calibrations[sample.frame.calibration_ref] = sample.calibration
-    taxonomy = tuple(sorted(NOMINAL_DIMS))
-    manifest = DatasetManifest(name=f"synthetic-{seed}", class_taxonomy=taxonomy, frames=tuple(frames))
-    return manifest, calibrations
+    seeds = [splitmix64((seed ^ i) & ((1 << 64) - 1))[1] for i in range(n_frames)]
+    scenes = _scenes(config, seeds, [f"synth-{seed}-{i:06d}" for i in range(n_frames)])
+    frames = tuple(sample.frame for sample, _ in scenes)
+    manifest = DatasetManifest(name=f"synthetic-{seed}", class_taxonomy=tuple(sorted(NOMINAL_DIMS)), frames=frames)
+    calibrations = {sample.frame.calibration_ref: sample.calibration for sample, _ in scenes}
+    return manifest, [rows for _, rows in scenes], calibrations
 
 
 def corrupt_detections(
@@ -284,66 +382,162 @@ def corrupt_detections(
     so score ranking correlates with detection quality. Poisson(fp_rate)
     spurious low-score boxes are added inside the camera frustum.
     """
-    if seed < 0:
-        raise ValidationError(f"detection seed must be >= 0, got {seed}")
-    config = config or SceneConfig()
-    rng = np.random.default_rng(seed)
-    detections: list[DetectionRecord] = []
-    for ann in frame.annotations:
-        if rng.random() < noise.drop_rate:
-            continue
-        d_center = rng.normal(0.0, noise.center_sigma, 3) if noise.center_sigma else np.zeros(3)
-        d_dims = rng.normal(0.0, noise.dim_sigma, 3) if noise.dim_sigma else np.zeros(3)
-        d_angles = rng.normal(0.0, noise.angle_sigma, 3) if noise.angle_sigma else np.zeros(3)
-        box = ann.box3d
-        dims = tuple(max(v + dv, 0.05) for v, dv in zip(box.dims, d_dims))
-        orientation = EulerOrientation(
-            box.orientation.yaw + d_angles[0],
-            box.orientation.pitch + d_angles[1],
-            box.orientation.roll + d_angles[2],
-        )
-        magnitude = (
-            float(np.linalg.norm(d_center))
-            + float(np.sum(np.abs(d_dims)))
-            + float(np.sum(np.abs(d_angles)))
-        )
-        detections.append(
-            DetectionRecord(
-                class_name=ann.class_name,
-                truncation=ann.truncation,
-                occlusion=ann.occlusion,
-                box2d=ann.box2d,
-                box3d=Box3D(
-                    center=tuple(np.asarray(box.center) + d_center),
-                    dims=dims,
-                    orientation=orientation,
-                ),
-                frame_id=frame.frame_id,
-                score=math.exp(-magnitude / noise.score_scale),
-            )
-        )
+    rows = [_record_row(ann) for ann in frame.annotations]
+    [detections] = _detection_rows([rows], noise, [seed], config or SceneConfig())
+    return [_record(row, frame.frame_id) for row in detections]
+
+
+def _detection_rows(
+    frames: Sequence[Sequence[tuple]], noise: NoiseSpec, seeds: Sequence[int], config: SceneConfig
+) -> list[list[tuple]]:
+    """corrupt_detections of each frame, given by its annotation rows, with
+    its seed, as detection rows. Raises the fault that corrupting the frames
+    one at a time meets first.
+
+    Each frame draws from its own generator what corrupt_detections draws,
+    in its order: per box the drop draw, then for a kept box one block of 3
+    standard normals per nonzero sigma, which scaled give the values of
+    rng.normal(0.0, sigma, 3); then the Poisson count and each false
+    positive's 6 values. One array step over the kept boxes of every frame
+    then makes their centers, clamped dims, angles, magnitudes and scores
+    (_noisy_boxes), and one more the false positives (_false_positives).
+    """
+    width = 3 * sum(1 for sigma in (noise.center_sigma, noise.dim_sigma, noise.angle_sigma) if sigma)
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
-    names, cdf = _class_sampler(config.class_mix)
-    try:
-        false_positives = int(rng.poisson(noise.fp_rate))
-    except ValueError as exc:  # numpy's own limit on the rate, set by its C long
-        raise ValidationError(f"fp_rate {noise.fp_rate} is too large for a Poisson draw: {exc}") from exc
-    for _ in range(false_positives):
-        class_name = _pick_class(rng, names, cdf)
-        h0, w0, l0 = NOMINAL_DIMS[class_name]
-        depth = float(rng.uniform(config.min_range, config.max_range * 0.9))
-        x = depth * math.tan(rng.uniform(-half_fov * 0.8, half_fov * 0.8))
-        y = float(rng.uniform(0.5, 4.0))
-        detections.append(
-            DetectionRecord(
-                class_name=class_name,
-                box3d=Box3D(
-                    center=(x, y, depth),
-                    dims=(h0, w0, l0),
-                    orientation=EulerOrientation(normalize_angle(rng.uniform(-math.pi, math.pi))),
-                ),
-                frame_id=frame.frame_id,
-                score=float(rng.uniform(0.01, 0.3)),
-            )
-        )
+    # Bounds of a false positive's 6 draws: class, depth, bearing, height, yaw, score.
+    low = np.array([0.0, config.min_range, -half_fov * 0.8, 0.5, -math.pi, 0.01])
+    high = np.array([1.0, config.max_range * 0.9, half_fov * 0.8, 4.0, math.pi, 0.3])
+    kept: list[tuple[int, tuple]] = []
+    normals: list[np.ndarray] = []
+    false_positives: list[np.ndarray] = []
+    stop = None  # the (frame, fault) a frame's own draws meet, after which no frame draws
+    for k, (rows, seed) in enumerate(zip(frames, seeds)):
+        if seed < 0:
+            stop = k, ValidationError(f"detection seed must be >= 0, got {seed}")
+            break
+        rng = np.random.default_rng(seed)
+        for row in rows:
+            if rng.random() < noise.drop_rate:
+                continue
+            kept.append((k, row))
+            if width:
+                normals.append(rng.standard_normal(width))
+        try:
+            count = int(rng.poisson(noise.fp_rate))
+        except ValueError as exc:  # numpy's own limit on the rate, set by its C long
+            fault = ValidationError(f"fp_rate {noise.fp_rate} is too large for a Poisson draw: {exc}")
+            fault.__cause__ = exc
+            stop = k, fault
+            break
+        false_positives.append(rng.uniform(low, high, (count, 6)))
+    boxes, box_faults = _noisy_boxes(kept, np.reshape(normals, (len(kept), width)), noise)
+    spurious, spurious_faults = _false_positives(false_positives, config)
+    # A frame meets its kept boxes' faults, then its own draws' fault, then
+    # its false positives' faults, each kind in row order.
+    events = box_faults + ([(stop[0], 1, None)] if stop else []) + spurious_faults
+    for _, _, check in sorted(events, key=lambda event: event[:2]):
+        if check is None:
+            raise stop[1]
+        check()
+    detections: list[list[tuple]] = [[] for _ in frames]
+    for k, row in itertools.chain(boxes, spurious):
+        detections[k].append(row)
     return detections
+
+
+def _check_detection(class_name, truncation, occlusion, box2d, center, dims, angles, score) -> None:
+    """Build the record corrupt_detections builds of these values, for the
+    checks of its constructors, which raise the fault of a value that fails one."""
+    orientation = EulerOrientation(*angles)
+    box3d = Box3D(center=center, dims=dims, orientation=orientation)
+    DetectionRecord(class_name, box3d, truncation, occlusion, box2d, score=score)
+
+
+def _noisy_boxes(
+    kept: list[tuple[int, tuple]], normals: np.ndarray, noise: NoiseSpec
+) -> tuple[Iterator[tuple[int, tuple]], list[tuple]]:
+    """The (frame, detection row) of each kept (frame, annotation row) under
+    its standard normals, made as they are taken, and a (frame, 0, check)
+    event per row that fails a check of EulerOrientation, Box3D or
+    DetectionRecord, in row order; check() raises that fault.
+
+    The arithmetic is corrupt_detections' per box, with its bits. Overflows
+    make infinities, not warnings: an infinite magnitude scores
+    exp(-inf) = 0.0, and an infinite value fails its check.
+    """
+    count = len(kept)
+    box = np.reshape([row[5] for _, row in kept], (count, 9))
+    offsets, column = [], 0
+    with np.errstate(over="ignore"):
+        for sigma in (noise.center_sigma, noise.dim_sigma, noise.angle_sigma):
+            if sigma:
+                offsets.append(0.0 + sigma * normals[:, column : column + 3])
+                column += 3
+            else:
+                offsets.append(np.zeros((count, 3)))
+        centers = box[:, :3] + offsets[0]
+        dims = np.maximum(box[:, 3:6] + offsets[1], 0.05)  # never NaN, nor a zero
+        angles = box[:, 6:] + offsets[2]
+        volume = dims[:, 0] * dims[:, 1] * dims[:, 2]
+        exponents = -_magnitudes(*offsets) / noise.score_scale
+    scores = np.array([math.exp(v) for v in exponents.tolist()])
+    ok = (
+        np.isfinite(angles).all(axis=1)
+        & np.isfinite(centers).all(axis=1)
+        & np.isfinite(dims).all(axis=1)
+        & (0.0 < volume) & (volume < math.inf)
+        & (0.0 <= scores) & (scores <= 1.0)
+    )
+    faults = [
+        (kept[i][0], 0, functools.partial(
+            _check_detection, *kept[i][1][:4], *(values[i].tolist() for values in (centers, dims, angles, scores))
+        ))
+        for i in np.flatnonzero(~ok).tolist()
+    ]
+    rows = (
+        (k, (*row[:4], score, (*center, *size, normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll))))
+        for (k, row), center, size, (yaw, pitch, roll), score in zip(
+            kept, centers.tolist(), dims.tolist(), angles.tolist(), scores.tolist()
+        )
+    )
+    return rows, faults
+
+
+def _magnitudes(d_center: np.ndarray, d_dims: np.ndarray, d_angles: np.ndarray) -> np.ndarray:
+    """Each row's perturbation magnitude, with the bits of
+    float(np.linalg.norm(c)) + float(np.sum(np.abs(d))) + float(np.sum(np.abs(a))).
+
+    The norm is a stacked 1x3 by 3x1 matmul, which gets the bits of the dot
+    product np.linalg.norm takes (einsum and a row sum of squares do not),
+    and each sum of 3 adds left to right as np.sum does. A norm that
+    overflows is infinite.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.matmul(d_center[:, None, :], d_center[:, :, None])[:, 0, 0])
+        a, b = np.abs(d_dims), np.abs(d_angles)
+        return norm + (a[:, 0] + a[:, 1] + a[:, 2]) + (b[:, 0] + b[:, 1] + b[:, 2])
+
+
+def _false_positives(
+    draws: list[np.ndarray], config: SceneConfig
+) -> tuple[list[tuple[int, tuple]], list[tuple]]:
+    """The (frame, detection row) of each false positive in each frame's
+    (count, 6) draws, and a (frame, 2, check) event per one whose center
+    overflows, in order; check() raises Box3D's fault."""
+    names, cdf = _class_sampler(config.class_mix)
+    owner = np.repeat(np.arange(len(draws)), [len(block) for block in draws])
+    u = np.concatenate(draws) if draws else np.zeros((0, 6))
+    with np.errstate(over="ignore"):
+        lateral = u[:, 1] * np.array([math.tan(v) for v in u[:, 2].tolist()])
+    rows, faults = [], []
+    for k, kind, x, (_, depth, _, y, yaw, score) in zip(
+        owner.tolist(), _pick_classes(cdf, u[:, 0]).tolist(), lateral.tolist(), u.tolist()
+    ):
+        name = names[kind]
+        box = (x, y, depth, *NOMINAL_DIMS[name], normalize_angle(yaw), 0.0, 0.0)
+        if not math.isfinite(x):
+            faults.append((k, 2, functools.partial(
+                _check_detection, name, 0.0, Occlusion.FULLY_VISIBLE, None, box[:3], box[3:6], box[6:], score
+            )))
+        rows.append((k, (name, 0.0, Occlusion.FULLY_VISIBLE, None, score, box)))
+    return rows, faults

@@ -9,11 +9,13 @@
 # or that `transform` leaving its --out directory behind. So does `synth --center-sigma nan` exiting other
 # than 1 with one stderr line naming center_sigma, or leaving its --out
 # behind, and `eval` on a copy of the manifest listing "Car" twice in its
-# taxonomy exiting other than 1 with one stderr line. Three overflows must
+# taxonomy exiting other than 1 with one stderr line. Four overflows must
 # each exit 1 with one stderr line (no numpy warning ahead of it) and leave
 # no --out behind: `transform` of a label whose moved center overflows, whose
-# line names that file, `synth --max-range 1e308` and `synth --fp-rate 1e30`,
-# a rate beyond numpy's Poisson draw.
+# line names that file, `synth --max-range 1e308`, `synth --fp-rate 1e30`, a
+# rate beyond numpy's Poisson draw, and `synth --angle-sigma 1e308`, whose
+# angle noise overflows. `synth --center-sigma 1e200`, whose offsets' norm
+# overflows to a score of 0, must exit 0 with nothing on stderr.
 #
 # Usage, from any directory: bash tests/cli_tour.sh
 set -euo pipefail
@@ -98,6 +100,15 @@ expect_fault "could not place object 1 of" synth --out "$work/far-synth" --frame
 expect_no_out "$work/far-synth"
 expect_fault "fp_rate 1e+30" synth --out "$work/many-synth" --frames 2 --fp-rate 1e30
 expect_no_out "$work/many-synth"
+expect_fault "angle must be finite" synth --out "$work/spun-synth" --frames 2 --angle-sigma 1e308
+expect_no_out "$work/spun-synth"
+echo "+ roadkit synth --center-sigma 1e200" >&2
+python -m roadkit.cli synth --out "$work/far-noise-synth" --frames 2 --seed 7 --center-sigma 1e200 2>"$work/err"
+if [ -s "$work/err" ]; then
+    echo "roadkit synth --center-sigma 1e200 printed to stderr:" >&2
+    cat "$work/err" >&2
+    exit 1
+fi
 python - "$corpus/manifest.json" "$work/repeated.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))

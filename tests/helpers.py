@@ -1104,7 +1104,7 @@ def reference_generate_scene(
     for _ in range(count):
         placed = False
         for _attempt in range(200):
-            class_name = synth._pick_class(rng, names, cdf)
+            class_name = names[int(cdf.searchsorted(rng.random(), side="right"))]
             h0, w0, l0 = synth.NOMINAL_DIMS[class_name]
             scale = rng.uniform(0.9, 1.1, size=3)
             dims = (h0 * scale[0], w0 * scale[1], l0 * scale[2])
@@ -1160,6 +1160,79 @@ def reference_generate_scene(
     )
     calibration = CalibrationSet(intrinsics=intrinsics, transforms=(extrinsics,))
     return synth.SceneSample(frame=frame, calibration=calibration, pitch_deg=pitch_deg)
+
+
+def reference_corrupt_detections(
+    frame: FrameRecord,
+    noise: synth.NoiseSpec,
+    seed: int,
+    config: synth.SceneConfig | None = None,
+) -> list[DetectionRecord]:
+    """corrupt_detections one box at a time: per box its own normal draws,
+    norm, sums and record, then one false positive at a time."""
+    if seed < 0:
+        raise ValidationError(f"detection seed must be >= 0, got {seed}")
+    config = config or synth.SceneConfig()
+    rng = np.random.default_rng(seed)
+    detections: list[DetectionRecord] = []
+    for ann in frame.annotations:
+        if rng.random() < noise.drop_rate:
+            continue
+        d_center = rng.normal(0.0, noise.center_sigma, 3) if noise.center_sigma else np.zeros(3)
+        d_dims = rng.normal(0.0, noise.dim_sigma, 3) if noise.dim_sigma else np.zeros(3)
+        d_angles = rng.normal(0.0, noise.angle_sigma, 3) if noise.angle_sigma else np.zeros(3)
+        box = ann.box3d
+        dims = tuple(max(v + dv, 0.05) for v, dv in zip(box.dims, d_dims))
+        orientation = EulerOrientation(
+            box.orientation.yaw + d_angles[0],
+            box.orientation.pitch + d_angles[1],
+            box.orientation.roll + d_angles[2],
+        )
+        magnitude = (
+            float(np.linalg.norm(d_center))
+            + float(np.sum(np.abs(d_dims)))
+            + float(np.sum(np.abs(d_angles)))
+        )
+        detections.append(
+            DetectionRecord(
+                class_name=ann.class_name,
+                truncation=ann.truncation,
+                occlusion=ann.occlusion,
+                box2d=ann.box2d,
+                box3d=Box3D(
+                    center=tuple(np.asarray(box.center) + d_center),
+                    dims=dims,
+                    orientation=orientation,
+                ),
+                frame_id=frame.frame_id,
+                score=math.exp(-magnitude / noise.score_scale),
+            )
+        )
+    half_fov = math.radians(config.horizontal_fov_deg) / 2.0
+    names, cdf = synth._class_sampler(config.class_mix)
+    try:
+        false_positives = int(rng.poisson(noise.fp_rate))
+    except ValueError as exc:  # numpy's own limit on the rate, set by its C long
+        raise ValidationError(f"fp_rate {noise.fp_rate} is too large for a Poisson draw: {exc}") from exc
+    for _ in range(false_positives):
+        class_name = names[int(cdf.searchsorted(rng.random(), side="right"))]
+        h0, w0, l0 = synth.NOMINAL_DIMS[class_name]
+        depth = float(rng.uniform(config.min_range, config.max_range * 0.9))
+        x = depth * math.tan(rng.uniform(-half_fov * 0.8, half_fov * 0.8))
+        y = float(rng.uniform(0.5, 4.0))
+        detections.append(
+            DetectionRecord(
+                class_name=class_name,
+                box3d=Box3D(
+                    center=(x, y, depth),
+                    dims=(h0, w0, l0),
+                    orientation=EulerOrientation(reference_normalize_angle(rng.uniform(-math.pi, math.pi))),
+                ),
+                frame_id=frame.frame_id,
+                score=float(rng.uniform(0.01, 0.3)),
+            )
+        )
+    return detections
 
 
 # ---------------------------------------------------------------------------

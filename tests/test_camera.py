@@ -12,11 +12,12 @@ from roadkit.camera import (
     project_point,
     transform_box,
 )
-from roadkit.camera import BEHIND_CAMERA_EPS, _project_boxes, _transform_boxes
+from roadkit.camera import BEHIND_CAMERA_EPS, _project_boxes, _projected, _transform_boxes
 from roadkit.errors import BehindCameraError, FrameMismatchError, ValidationError
 from roadkit.geometry import (
     Box3D,
     EulerOrientation,
+    _box_arrays,
     _first_invalid_rotation,
     box_corners,
     rotation_from_euler,
@@ -389,7 +390,8 @@ class TestProjectBoxes:
     def _check(intrinsics, boxes, extrinsics=None):
         expected = [repr(reference_project_box(intrinsics, box, extrinsics)) for box in boxes]
         assert [repr(project_box(intrinsics, box, extrinsics)) for box in boxes] == expected
-        assert [repr(p) for p in _project_boxes(intrinsics, boxes, extrinsics)] == expected
+        batch = _projected(*_project_boxes(intrinsics, *_box_arrays(boxes), extrinsics))
+        assert [repr(p) for p in batch] == expected
 
     @pytest.mark.parametrize("intrinsics", [make_intrinsics(), SKEWED])
     def test_boxes_across_the_camera_plane(self, intrinsics):
@@ -440,4 +442,4 @@ class TestProjectBoxes:
         self._check(self.SQUARE, [touching_left, touching_bottom, beyond_left])
 
     def test_empty(self):
-        assert _project_boxes(make_intrinsics(), []) == []
+        assert _projected(*_project_boxes(make_intrinsics(), *_box_arrays([]))) == []

@@ -24,8 +24,10 @@ from roadkit.formats import (
     parse_labels,
 )
 from roadkit.geometry import Box3D, EulerOrientation
+from roadkit.synth import NoiseSpec, SceneConfig, generate_corpus
 
 from helpers import (
+    reference_corrupt_detections,
     reference_dump_manifest,
     reference_kitti_line,
     reference_load_manifest,
@@ -175,6 +177,76 @@ class TestSynthOutputPin:
             if path.is_file()
         }
         assert digests == SYNTH_SEED_11_DIGESTS
+
+
+_NOISE_FLAGS = {
+    "--drop-rate": "drop_rate", "--fp-rate": "fp_rate", "--center-sigma": "center_sigma",
+    "--dim-sigma": "dim_sigma", "--angle-sigma": "angle_sigma",
+}
+
+
+def _reference_synth(objects, flags, frames, seed):
+    """The manifest `roadkit synth` makes, and its detections made one frame
+    at a time by the reference, or the message of the first fault met."""
+    config = SceneConfig(objects_per_frame=objects)
+    noise = NoiseSpec(**{_NOISE_FLAGS[flag]: float(value) for flag, value in zip(flags[::2], flags[1::2])})
+    manifest, _ = generate_corpus(config, frames, seed)
+    detections = []
+    with np.errstate(all="ignore"):
+        for i, frame in enumerate(manifest.frames):
+            try:
+                detections.append(reference_corrupt_detections(frame, noise, seed + 1_000_003 * (i + 1), config))
+            except ValidationError as exc:
+                return manifest, str(exc)
+    return manifest, detections
+
+
+class TestSynthNoiseOverflow:
+    """Noise flags that overflow print no numpy warning: their exit codes
+    and bytes are the reference's, and a fault is the one that corrupting
+    the frames one at a time meets first, with no --out left behind."""
+
+    def test_overflowing_center_norm_scores_zero(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        flags = ["--center-sigma", "1e200"]
+        argv = ["synth", "--out", str(out), "--frames", "3", "--seed", "4", "--objects", "3,6", *flags]
+        assert _main_without_warnings(argv) == 0
+        assert capsys.readouterr().err == ""
+        manifest, detections = _reference_synth((3, 6), flags, 3, 4)
+        scores = []
+        for frame, records in zip(manifest.frames, detections):
+            text = "".join(reference_kitti_line(record) + "\n" for record in records)
+            assert (out / "detections" / f"{frame.frame_id}.txt").read_text() == text
+            scores += [record.score for record in records]
+        assert 0.0 in scores and len(scores) > 3
+
+    @pytest.mark.parametrize(
+        "flags, objects, seed, needle",
+        [
+            (["--angle-sigma", "1e308"], (3, 6), 5, "angle must be finite, got "),
+            (["--dim-sigma", "1e308"], (3, 6), 5, "box volume h * w * l must be finite"),
+            (["--center-sigma", "1e308"], (3, 6), 5, "box center must be 3 finite values"),
+            # A box's angles are checked before its center.
+            (["--center-sigma", "1e308", "--angle-sigma", "1e308"], (3, 6), 5, "angle must be finite"),
+            # A frame's boxes fault before its Poisson draw does.
+            (["--dim-sigma", "1e200", "--fp-rate", "1e30"], (3, 6), 5, "box volume"),
+            # Frame 0 holds no box, so its Poisson draw faults before frame 1's boxes.
+            (["--dim-sigma", "1e200", "--fp-rate", "1e30"], (0, 2), 1, "fp_rate 1e+30"),
+            # Frame 0 holds no box, so frame 1's box faults first.
+            (["--dim-sigma", "1e200"], (0, 2), 1, "box volume"),
+            # A negative detection seed stops frame 0 before its boxes.
+            (["--center-sigma", "1e308"], (3, 6), -1_000_004, "detection seed must be >= 0, got -1"),
+        ],
+    )
+    def test_fault_is_the_first_one_frame_at_a_time(self, flags, objects, seed, needle, tmp_path, capsys):
+        out = tmp_path / "c"
+        argv = ["synth", "--out", str(out), "--frames", "3", "--seed", str(seed),
+                "--objects", ",".join(map(str, objects)), *flags]
+        assert _main_without_warnings(argv) == 1
+        _, expected = _reference_synth(objects, flags, 3, seed)
+        assert isinstance(expected, str) and needle in expected
+        assert capsys.readouterr() == ("", f"roadkit synth: error: {expected}\n")
+        assert not out.exists()
 
 
 class TestStatsCommand:

@@ -1,11 +1,17 @@
 """A seeded fuzz test of the CLI contract.
 
-Each case copies a small synthetic corpus, replaces one to three values in
-it (a kitti_ext token, or a number in the manifest or calibration JSON) with
-an edge value, and runs eval, transform, convert, stats and split on the copy
-in process, with every Python warning raised as an error. Every command must
-exit 0, 1 or 2; on 1 or 2 it must print exactly one stderr line and leave no
-output file or directory behind.
+Each case of the first family copies a small synthetic corpus, replaces one
+to three values in it (a kitti_ext token, or a number in the manifest or
+calibration JSON) with an edge value, and runs eval, transform, convert,
+stats and split on the copy in process, with every Python warning raised as
+an error. Every command must exit 0, 1 or 2; on 1 or 2 it must print exactly
+one stderr line and leave no output file or directory behind.
+
+Each case of the second family runs synth in process, warnings raised as
+errors, with its noise, range and object-count flags drawn from edge values.
+It must exit 0, 1 or 2. On 1 or 2 it prints one error line, after argparse's
+usage block only when the flags do not parse, and leaves no --out; on 0 the
+files it wrote read back to the manifest's counts.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from roadkit.cli import main
+from roadkit.formats import DetectionRecord, load_manifest, parse_labels
 
 SEED = 20261020
 CASES = 400
@@ -150,3 +157,67 @@ def test_cli_contract_on_mutated_corpora(corpus, tmp_path):
         shutil.rmtree(work)
     # The mutations reach both sides of every command that reads them.
     assert {("eval", 0), ("eval", 1), ("transform", 0), ("transform", 1), ("convert", 0), ("convert", 1)} <= outcomes
+
+
+SYNTH_CASES = 600
+# Edge values for synth's flags. A large but valid --fp-rate (about 1e4 up to
+# numpy's Poisson limit near 9.2e18) or more than 60 objects a frame would
+# only cost memory and time, so none is drawn.
+SYNTH_VALUES = ("0", "1e-300", "0.5", "1e200", "1e308", "nan", "inf", "-1")
+SYNTH_FLAGS = ("--drop-rate", "--fp-rate", "--center-sigma", "--dim-sigma", "--angle-sigma", "--max-range")
+
+
+def _error_lines(err: str) -> list[str]:
+    """stderr's lines after argparse's usage block, if it starts with one."""
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage:"):
+        lines = lines[1:]
+        while lines and lines[0].startswith(" "):
+            lines = lines[1:]
+    return lines
+
+
+def _read_back(out: Path) -> None:
+    """The corpus synth wrote reads back: every frame's labels hold its
+    manifest annotations, its detections carry scores, its calibration exists."""
+    manifest = load_manifest((out / "manifest.json").read_text())
+    assert len(manifest.frames) == 3
+    for frame in manifest.frames:
+        assert len(parse_labels((out / "labels" / f"{frame.frame_id}.txt").read_text())) == len(frame.annotations)
+        detections = parse_labels((out / "detections" / f"{frame.frame_id}.txt").read_text())
+        assert all(isinstance(d, DetectionRecord) for d in detections)
+        assert (out / "calib" / f"{frame.calibration_ref}.json").is_file()
+
+
+def test_synth_flags_contract(tmp_path):
+    rng = random.Random(SEED + 1)
+    outcomes = []
+    for case in range(SYNTH_CASES):
+        out = tmp_path / f"case{case:03d}"
+        argv = ["synth", "--out", str(out), "--frames", "3", "--seed", str(rng.randrange(1000))]
+        for flag in SYNTH_FLAGS:
+            if rng.random() < 0.3:
+                argv.append(f"{flag}={rng.choice(SYNTH_VALUES)}")
+        if rng.random() < 0.3:
+            argv.append(f"--objects={rng.choice(SYNTH_VALUES)},{rng.choice(SYNTH_VALUES)}")
+        context = f"case {case}: roadkit {' '.join(argv[3:])}"
+        try:
+            code, err = _run(argv)
+            if code == 0:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    _read_back(out)
+        except Exception as exc:  # a traceback, a warning or a corpus that does not read back breaks the contract
+            pytest.fail(f"{context} raised {type(exc).__name__}: {exc}")
+        assert code in (0, 1, 2), f"{context} exited {code}"
+        if code:
+            lines = _error_lines(err)
+            assert len(lines) == 1 and "error:" in lines[0], f"{context} printed {err!r}"
+            assert not out.exists(), f"{context} left --out behind"
+        else:
+            assert err == "", f"{context} printed {err!r}"
+            shutil.rmtree(out)
+        outcomes.append((code, any(huge in arg for arg in argv[6:] for huge in ("1e200", "1e308"))))
+    # Both outcomes come up, and corpora with a huge value are written.
+    assert outcomes.count((0, True)) >= 5 and outcomes.count((0, False)) >= 50
+    assert {(1, False), (1, True)} <= set(outcomes)

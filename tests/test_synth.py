@@ -1,16 +1,26 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import helpers
-from roadkit import synth
+from roadkit import cli, synth
 from roadkit.camera import ProjectedBox, project_box
-from roadkit.errors import GenerationError, ValidationError
+from roadkit.datasets import splitmix64
+from roadkit.errors import GenerationError, RoadkitError, ValidationError
 from roadkit.evaluation import evaluate
-from roadkit.formats import DatasetManifest, Occlusion, dump_calibration, dump_manifest
-from roadkit.geometry import box_corners, rotation_from_euler
+from roadkit.formats import (
+    AnnotationRecord,
+    DatasetManifest,
+    FrameRecord,
+    Occlusion,
+    dump_calibration,
+    dump_manifest,
+)
+from roadkit.geometry import Box3D, EulerOrientation, box_corners, rotation_from_euler
 from roadkit.synth import (
     NOMINAL_DIMS,
     TIME_TAGS,
@@ -18,14 +28,14 @@ from roadkit.synth import (
     NoiseSpec,
     SceneConfig,
     _class_sampler,
-    _pick_class,
+    _pick_classes,
     _world_box_rotations,
     corrupt_detections,
     generate_corpus,
     generate_scene,
 )
 
-from helpers import reference_generate_scene, rot_z
+from helpers import reference_corrupt_detections, reference_generate_scene, rot_z, typed
 
 
 SMALL = SceneConfig(objects_per_frame=(3, 8))
@@ -99,20 +109,14 @@ class TestSceneHelpers:
         ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
         for _ in range(10_000):
             expected = mix[int(theirs.choice(len(mix), p=weights / weights.sum()))][0]
-            assert _pick_class(ours, names, cdf) == expected
+            assert names[int(_pick_classes(cdf, ours.random()))] == expected
         assert ours.random() == theirs.random()
 
     def test_zero_weight_class_not_drawn_on_a_cdf_step(self):
-        class FixedDraw:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         names, cdf = _class_sampler((("Car", 0.0), ("Bus", 3.0), ("Truck", 0.0), ("Bus", 1.0)))
         for u in (0.0, 0.75, 0.999):
-            assert _pick_class(FixedDraw(u), names, cdf) == "Bus"
+            assert names[int(_pick_classes(cdf, u))] == "Bus"
+        assert [names[k] for k in _pick_classes(cdf, np.array([0.0, 0.75, 0.999]))] == ["Bus"] * 3
 
     def test_world_box_rotation_matches_cross_product(self):
         yaws = [0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, -1e-300]
@@ -248,12 +252,21 @@ class TestBlockPlacement:
         # still placed on its 200th attempt is kept, a 200th miss in a row fails.
         def hide_listed():
             attempts = itertools.count(1)
-            return lambda projected: ProjectedBox(None, False) if next(attempts) in hidden else projected
+            return lambda: next(attempts) in hidden
 
         hide_new, hide_ref = hide_listed(), hide_listed()
         project_boxes, reference_project_box = synth._project_boxes, helpers.reference_project_box
-        monkeypatch.setattr(synth, "_project_boxes", lambda i, boxes: list(map(hide_new, project_boxes(i, boxes))))
-        monkeypatch.setattr(helpers, "reference_project_box", lambda i, box: hide_ref(reference_project_box(i, box)))
+
+        def project_hiding(*arrays):
+            seen, visible, unclipped, rect = project_boxes(*arrays)
+            shown = ~np.array([hide_new() for _ in visible], dtype=bool)
+            return seen & shown, visible & shown, unclipped, rect
+
+        monkeypatch.setattr(synth, "_project_boxes", project_hiding)
+        monkeypatch.setattr(
+            helpers, "reference_project_box",
+            lambda i, box: ProjectedBox(None, False) if hide_ref() else reference_project_box(i, box),
+        )
         config = SceneConfig(objects_per_frame=(2, 2))
         outcome = _outcome(generate_scene, config, 5)
         assert outcome == _outcome(reference_generate_scene, config, 5)
@@ -379,3 +392,270 @@ class TestEndToEnd:
             for cls_name, by_level in report.cells.items():
                 if by_level[level].gt > 0:
                     assert by_level[level].ap == 100.0
+
+
+def frame_seed(seed: int, i: int) -> int:
+    """The scene seed of frame i of generate_corpus(..., seed)."""
+    return splitmix64((seed ^ i) & ((1 << 64) - 1))[1]
+
+
+def reference_corpus_frames(config, n_frames, seed):
+    """generate_corpus's frames made one at a time by the reference scene."""
+    return tuple(
+        reference_generate_scene(config, frame_seed(seed, i), frame_id=f"synth-{seed}-{i:06d}").frame
+        for i in range(n_frames)
+    )
+
+
+# Up to 60 objects a frame, the empty frame included.
+WIDE = SceneConfig(objects_per_frame=(0, 60))
+
+
+class TestCorpusParity:
+    """generate_scene and generate_corpus against the reference scene: equal
+    records, with the same field types and float bits."""
+
+    @pytest.mark.parametrize(
+        "config, n_frames",
+        [(WIDE, 6), (SceneConfig(objects_per_frame=(0, 0)), 3), (SMALL, 0), (SceneConfig(), 5),
+         (SceneConfig(image_size=(64, 48)), 8)],
+        ids=["0-60", "0-0", "no-frames", "default", "tiny-image"],
+    )
+    def test_corpus_matches_reference(self, config, n_frames):
+        manifest, calibrations = generate_corpus(config, n_frames, seed=77)
+        expected = reference_corpus_frames(config, n_frames, 77)
+        assert manifest.frames == expected
+        assert typed(manifest.frames) == typed(expected)
+        assert sorted(calibrations) == sorted(frame.calibration_ref for frame in expected)
+
+    def test_scenes_match_reference(self):
+        for seed in range(12):
+            got, expected = generate_scene(WIDE, seed), reference_generate_scene(WIDE, seed)
+            assert typed(got) == typed(expected)
+
+    def test_small_groups_match_reference(self, monkeypatch):
+        # Groups closing every 40 objects split the corpus at many frames.
+        monkeypatch.setattr(synth, "_GROUP_OBJECTS", 40)
+        manifest, _ = generate_corpus(WIDE, 9, seed=78)
+        assert typed(manifest.frames) == typed(reference_corpus_frames(WIDE, 9, 78))
+        with pytest.raises(GenerationError) as got:
+            generate_corpus(SPARSE, 6, seed=4)
+        with pytest.raises(GenerationError) as expected:
+            reference_corpus_frames(SPARSE, 6, 4)
+        assert str(got.value) == str(expected.value)
+
+
+# Every sigma zero and nonzero, each drop rate at 0, between and 1, with and
+# without false positives.
+NOISE_CASES = [
+    NoiseSpec(drop_rate=drop, fp_rate=fp, center_sigma=center, dim_sigma=dim, angle_sigma=angle)
+    for center, dim, angle in itertools.product((0.0, 0.4), (0.0, 0.1), (0.0, 0.05))
+    for drop, fp in ((0.0, 0.0), (0.3, 2.0), (1.0, 0.0), (1.0, 3.0))
+]
+
+
+class TestDetectionParity:
+    """corrupt_detections against the one-box-at-a-time reference: equal
+    records, with the same field types and float bits."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        manifest, _ = generate_corpus(WIDE, 5, seed=81)
+        return manifest.frames
+
+    @pytest.mark.parametrize("noise", NOISE_CASES, ids=lambda n: f"{n.center_sigma}-{n.dim_sigma}-{n.angle_sigma}"
+                             f"-drop{n.drop_rate}-fp{n.fp_rate}")
+    def test_records_match_reference(self, frames, noise):
+        for i, frame in enumerate(frames):
+            got = corrupt_detections(frame, noise, seed=100 + i, config=WIDE)
+            expected = reference_corrupt_detections(frame, noise, seed=100 + i, config=WIDE)
+            assert got == expected
+            assert typed(got) == typed(expected)
+
+    def test_signed_zero_boxes_take_offsets_as_rng_normal_adds_them(self):
+        # 5e-324 times a standard normal below 0.5 in size is a zero of its
+        # sign; rng.normal adds it to 0.0, so a -0.0 center or angle comes
+        # out +0.0, not -0.0.
+        box = Box3D(center=(-0.0, -0.0, 12.0), dims=(1.5, 1.8, 4.2), orientation=EulerOrientation(-0.0, -0.0, -0.0))
+        frame = FrameRecord("zeros", annotations=[AnnotationRecord("Car", box, frame_id="zeros")] * 40)
+        noise = NoiseSpec(center_sigma=5e-324, dim_sigma=5e-324, angle_sigma=5e-324)
+        got = corrupt_detections(frame, noise, seed=3)
+        assert typed(got) == typed(reference_corrupt_detections(frame, noise, seed=3))
+        assert any(math.copysign(1.0, det.box3d.center[0]) > 0 for det in got)
+
+    @pytest.mark.parametrize(
+        "noise, fault",
+        [
+            (NoiseSpec(fp_rate=3.0), "box center must be 3 finite values, got ("),
+            # A frame's boxes fault before its false positives do.
+            (NoiseSpec(fp_rate=3.0, dim_sigma=1e200), "box volume h * w * l must be finite"),
+        ],
+        ids=["false-positives", "boxes-first"],
+    )
+    def test_overflowing_false_positive_raises_like_reference(self, frames, noise, fault):
+        # A field of view near 180 degrees puts some false positives far
+        # enough out to the side that their lateral offset overflows.
+        config = SceneConfig(horizontal_fov_deg=179.0, max_range=1.7e308)
+        outcomes = []
+        for seed in range(20):
+            frame = frames[seed % 2] if noise.dim_sigma else FrameRecord("empty")
+            try:
+                with np.errstate(over="ignore"):
+                    expected = typed(reference_corrupt_detections(frame, noise, seed, config))
+            except ValidationError as exc:
+                expected = str(exc)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = typed(corrupt_detections(frame, noise, seed, config))
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == expected
+            outcomes.append(got)
+        faults = [o for o in outcomes if isinstance(o, str)]
+        assert faults and all(f.startswith(fault) for f in faults)
+        assert len(faults) < len(outcomes) or noise.dim_sigma
+
+
+class TestMagnitudeBits:
+    """The noise stage's magnitude against np.linalg.norm and np.sum, row by row, by bits."""
+
+    @staticmethod
+    def _rows(scale: str, rng: np.random.Generator, count: int = 4000) -> np.ndarray:
+        exponents = {
+            "random": rng.uniform(-3.0, 3.0, (count, 3)),
+            "huge": rng.uniform(120.0, 160.0, (count, 3)),
+            "subnormal": rng.uniform(-323.0, -308.0, (count, 3)),
+            "mixed": rng.choice([-320.0, -160.0, -1.0, 0.0, 2.0, 160.0, 307.0], (count, 3)),
+        }[scale]
+        return rng.standard_normal((count, 3)) * 10.0 ** exponents
+
+    @pytest.mark.parametrize("scale", ["random", "huge", "subnormal", "mixed"])
+    def test_matches_per_row_norm_and_sums(self, scale):
+        rng = np.random.default_rng(["random", "huge", "subnormal", "mixed"].index(scale))
+        center, dims, angles = (self._rows(scale, rng) for _ in range(3))
+        with np.errstate(over="ignore"):
+            norms = [float(np.linalg.norm(c)) for c in center]
+            expected = np.array([
+                float(np.linalg.norm(c)) + float(np.sum(np.abs(d))) + float(np.sum(np.abs(a)))
+                for c, d, a in zip(center, dims, angles)
+            ])
+        zeros = np.zeros_like(center)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = synth._magnitudes(center, dims, angles)
+            alone = synth._magnitudes(center, zeros, zeros)
+        assert got.tobytes() == expected.tobytes()
+        assert alone.tobytes() == np.array(norms).tobytes()
+        if scale == "huge":
+            assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+def rounds_per_frame(monkeypatch, config, n_frames, seed):
+    """Each frame of generate_corpus(config, n_frames, seed) made alone, in
+    order, by generate_scene: its fault as (type, message), or None, and the
+    placement rounds it ran."""
+    move = synth._move_arrays
+    calls = []
+    monkeypatch.setattr(synth, "_move_arrays", lambda *arrays: calls.append(None) or move(*arrays))
+    outcomes = []
+    for i in range(n_frames):
+        calls.clear()
+        try:
+            generate_scene(config, frame_seed(seed, i), frame_id=f"synth-{seed}-{i:06d}")
+            fault = None
+        except RoadkitError as exc:
+            fault = (type(exc), str(exc))
+        outcomes.append((fault, len(calls)))
+    monkeypatch.setattr(synth, "_move_arrays", move)
+    return outcomes
+
+
+def poison_attempts(monkeypatch, attempts: dict[float, float]):
+    """Scale the world rotation of each attempt whose yaw draw is a key by
+    its value (NaN for a non-finite rotation, 2 for a skewed one)."""
+    rotations = synth._world_box_rotations
+
+    def poisoned(yaws):
+        out = rotations(yaws)
+        for k, yaw in enumerate(yaws):
+            if yaw in attempts:
+                out[k] *= attempts[yaw]
+        return out
+
+    monkeypatch.setattr(synth, "_world_box_rotations", poisoned)
+
+
+def yaws_by_round(monkeypatch, config, seed, frame_id):
+    """The yaw draws of each placement round of one scene."""
+    rotations = synth._world_box_rotations
+    rounds = []
+    monkeypatch.setattr(synth, "_world_box_rotations", lambda yaws: rounds.append(list(yaws)) or rotations(yaws))
+    generate_scene(config, seed, frame_id=frame_id)
+    monkeypatch.setattr(synth, "_world_box_rotations", rotations)
+    return rounds
+
+
+# A letterbox image 100 px tall with up to 260 objects a frame: of seed 3's
+# five frames, frames 1 and 3 miss 200 times in their first block of over
+# 200 attempts, and frame 0 places 219 objects over 93 rounds.
+LETTERBOX = SceneConfig(image_size=(1920, 100), min_range=20.0, objects_per_frame=(3, 260))
+
+
+class TestCorpusFaultOrder:
+    """generate_corpus places all its frames together, round by round, yet
+    raises the fault that making its frames one at a time meets first."""
+
+    def test_earlier_frame_failing_in_a_later_round_comes_first(self, monkeypatch):
+        outcomes = rounds_per_frame(monkeypatch, SPARSE, 6, seed=4)
+        failed = [(fault, rounds) for fault, rounds in outcomes if fault is not None]
+        assert len(failed) >= 2 and failed[-1][1] < failed[0][1]
+        with pytest.raises(GenerationError) as got:
+            generate_corpus(SPARSE, 6, seed=4)
+        assert (type(got.value), str(got.value)) == failed[0][0]
+
+    def test_rotation_fault_in_round_50_comes_before_first_round_misses(self, monkeypatch):
+        rounds = yaws_by_round(monkeypatch, LETTERBOX, frame_seed(3, 0), "synth-3-000000")
+        assert len(rounds) == 93
+        poison_attempts(monkeypatch, {rounds[49][-1]: math.nan})
+        outcomes = rounds_per_frame(monkeypatch, LETTERBOX, 5, seed=3)
+        assert outcomes[0] == ((ValidationError, "rotation matrix holds non-finite entries"), 50)
+        assert [(fault[0], rounds) for fault, rounds in outcomes[1:4:2]] == [(GenerationError, 1)] * 2
+        with pytest.raises(ValidationError) as got:
+            generate_corpus(LETTERBOX, 5, seed=3)
+        assert str(got.value) == "rotation matrix holds non-finite entries"
+
+    def test_first_frame_to_fault_by_round_is_not_raised(self, monkeypatch):
+        # Frame 2 faults in its first round, frame 0 only in its 60th; frame
+        # 1's 200th miss in a row comes in round 1.
+        first = yaws_by_round(monkeypatch, LETTERBOX, frame_seed(3, 0), "synth-3-000000")
+        third = yaws_by_round(monkeypatch, LETTERBOX, frame_seed(3, 2), "synth-3-000002")
+        poison_attempts(monkeypatch, {first[59][0]: 2.0, third[0][5]: math.nan})
+        outcomes = rounds_per_frame(monkeypatch, LETTERBOX, 5, seed=3)
+        assert outcomes[0] == ((ValidationError, "rotation matrix is not orthonormal"), 60)
+        assert outcomes[2] == ((ValidationError, "rotation matrix holds non-finite entries"), 1)
+        with pytest.raises(ValidationError, match="^rotation matrix is not orthonormal$"):
+            generate_corpus(LETTERBOX, 5, seed=3)
+
+    def test_cli_raises_first_frame_fault_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        # roadkit synth on the letterbox config: frames 1 and 3 fail in
+        # round 1, frame 0 is poisoned in round 30, and frame 2 in round 1.
+        @dataclasses.dataclass(frozen=True)
+        class Letterbox(SceneConfig):
+            image_size: tuple[int, int] = LETTERBOX.image_size
+            min_range: float = LETTERBOX.min_range
+
+        monkeypatch.setattr(cli, "SceneConfig", Letterbox)
+        first = yaws_by_round(monkeypatch, LETTERBOX, frame_seed(3, 0), "synth-3-000000")
+        third = yaws_by_round(monkeypatch, LETTERBOX, frame_seed(3, 2), "synth-3-000002")
+        poison_attempts(monkeypatch, {first[29][1]: 2.0, third[0][0]: math.nan})
+        outcomes = rounds_per_frame(monkeypatch, LETTERBOX, 5, seed=3)
+        assert [rounds for _, rounds in outcomes[:4]] == [30, 1, 1, 1]
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["synth", "--out", str(out), "--frames", "5", "--seed", "3", "--objects", "3,260"])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"roadkit synth: error: {outcomes[0][0][1]}\n")
+        assert outcomes[0][0][1] == "rotation matrix is not orthonormal"
+        assert not out.exists()
