@@ -85,8 +85,10 @@ class DetectionRecord(AnnotationRecord):
 # A label row is what both readers produce and both writers consume:
 # (class_name, truncation, occlusion, box2d, score, box), with box the 9
 # values of _box_params' layout (x, y, z, h, w, l, yaw, pitch, roll) and
-# score None for an annotation. A reader checks each row through _valid_row,
-# and builds a record from it, with _record, only where it returns records.
+# score None for an annotation. Every row, read or made, is checked through
+# _valid_row; one that fails it goes through the constructors, which name
+# the fault (_constructed_row, or _annotation_walk for a manifest object).
+# A record is built from a checked row with _record.
 _OCCLUSIONS = tuple(Occlusion)
 _set = object.__setattr__
 
@@ -95,19 +97,33 @@ def _valid_row(
     class_name: str, truncation: float, occlusion: float, box2d, score: float | None,
     x: float, y: float, z: float, h: float, w: float, l: float, yaw: float, pitch: float, roll: float,
 ) -> tuple | None:
-    """The row of finite Python floats, or None when one fails a record
-    rule: truncation in [0, 1], occlusion a level 0-3, h, w and l positive
-    with a finite, positive volume, and score, when given, in [0, 1]. Each
-    angle goes through normalize_angle, and occlusion becomes an Occlusion."""
+    """The row of Python floats, or None when one fails a record rule:
+    truncation in [0, 1], occlusion a level 0-3, a finite center, h, w and l
+    positive with a finite, positive volume, and score, when given, in
+    [0, 1]. Each angle goes through normalize_angle, which raises the
+    constructors' fault of a non-finite one, and occlusion becomes an
+    Occlusion. It takes the rows that _constructed_row takes."""
     if not (
         0.0 <= truncation <= 1.0
         and occlusion in _OCCLUSIONS
+        and math.isfinite(x) and math.isfinite(y) and math.isfinite(z)
         and h > 0.0 and w > 0.0 and l > 0.0 and 0.0 < h * w * l < math.inf
         and (score is None or 0.0 <= score <= 1.0)
     ):
         return None
     box = (x, y, z, h, w, l, normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll))
     return class_name, truncation, _OCCLUSIONS[int(occlusion)], box2d, score, box
+
+
+def _constructed_row(row: tuple) -> tuple:
+    """The row of the record that the constructors build of row's values,
+    the orientation, then the box, then the record; a value that fails one
+    of their checks raises its ValidationError."""
+    class_name, truncation, occlusion, box2d, score, box = row
+    box3d = Box3D(center=box[:3], dims=box[3:6], orientation=EulerOrientation(*box[6:]))
+    if score is None:
+        return _record_row(AnnotationRecord(class_name, box3d, truncation, occlusion, box2d))
+    return _record_row(DetectionRecord(class_name, box3d, truncation, occlusion, box2d, score=score))
 
 
 def _record(row: tuple, frame_id: str) -> AnnotationRecord:
@@ -260,8 +276,7 @@ def _kitti_row(line: str, line_no: int) -> tuple:
     row = _valid_row(tokens[0], truncation, occlusion_value, box2d, score, x, y, z, h, w, l, yaw, pitch, roll)
     if row is not None:
         return row
-    # A value fails a check: the checks below, and the constructors, name it;
-    # should the constructors take the line, the row is their record's.
+    # A value fails a check: the checks below, and the constructors, name it.
     if not (0.0 <= truncation <= 1.0):
         raise ValidationError(f"truncation {truncation} out of [0, 1] (line {line_no})")
     if not occlusion_value.is_integer():
@@ -273,10 +288,7 @@ def _kitti_row(line: str, line_no: int) -> tuple:
     except ValueError:
         raise ValidationError(f"occlusion {tokens[2]!r} out of range 0-3 (line {line_no})")
     try:
-        box3d = Box3D(center=(x, y, z), dims=(h, w, l), orientation=EulerOrientation(yaw, pitch, roll))
-        if score is None:
-            return _record_row(AnnotationRecord(tokens[0], box3d, truncation, occlusion, box2d))
-        return _record_row(DetectionRecord(tokens[0], box3d, truncation, occlusion, box2d, score=score))
+        return _constructed_row((tokens[0], truncation, occlusion, box2d, score, (x, y, z, h, w, l, yaw, pitch, roll)))
     except ValidationError as exc:
         raise ValidationError(f"{exc} (line {line_no})") from exc
 

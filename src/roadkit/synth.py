@@ -8,7 +8,6 @@ camera-frame annotations arises purely from the camera's downward tilt.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -25,10 +24,12 @@ from .formats import (
     DetectionRecord,
     FrameRecord,
     Occlusion,
+    _constructed_row,
     _record,
     _record_row,
+    _valid_row,
 )
-from .geometry import Box3D, EulerOrientation, _param_arrays, normalize_angle
+from .geometry import _param_arrays
 
 # Nominal (h, w, l) per class, meters.
 NOMINAL_DIMS = {
@@ -399,8 +400,10 @@ def _detection_rows(
     standard normals per nonzero sigma, which scaled give the values of
     rng.normal(0.0, sigma, 3); then the Poisson count and each false
     positive's 6 values. One array step over the kept boxes of every frame
-    then makes their centers, clamped dims, angles, magnitudes and scores
-    (_noisy_boxes), and one more the false positives (_false_positives).
+    then makes their rows (_noisy_boxes), and one more the false positives'
+    (_false_positives). Each frame's rows, its kept boxes' then its false
+    positives', go through formats' gate in frame order; a frame whose own
+    draws fail raises that fault once its kept boxes are checked.
     """
     width = 3 * sum(1 for sigma in (noise.center_sigma, noise.dim_sigma, noise.angle_sigma) if sigma)
     half_fov = math.radians(config.horizontal_fov_deg) / 2.0
@@ -410,10 +413,10 @@ def _detection_rows(
     kept: list[tuple[int, tuple]] = []
     normals: list[np.ndarray] = []
     false_positives: list[np.ndarray] = []
-    stop = None  # the (frame, fault) a frame's own draws meet, after which no frame draws
+    stop = None  # the fault a frame's own draws meet, after which no frame draws
     for k, (rows, seed) in enumerate(zip(frames, seeds)):
         if seed < 0:
-            stop = k, ValidationError(f"detection seed must be >= 0, got {seed}")
+            stop = ValidationError(f"detection seed must be >= 0, got {seed}")
             break
         rng = np.random.default_rng(seed)
         for row in rows:
@@ -425,41 +428,27 @@ def _detection_rows(
         try:
             count = int(rng.poisson(noise.fp_rate))
         except ValueError as exc:  # numpy's own limit on the rate, set by its C long
-            fault = ValidationError(f"fp_rate {noise.fp_rate} is too large for a Poisson draw: {exc}")
-            fault.__cause__ = exc
-            stop = k, fault
+            stop = ValidationError(f"fp_rate {noise.fp_rate} is too large for a Poisson draw: {exc}")
+            stop.__cause__ = exc
             break
         false_positives.append(rng.uniform(low, high, (count, 6)))
-    boxes, box_faults = _noisy_boxes(kept, np.reshape(normals, (len(kept), width)), noise)
-    spurious, spurious_faults = _false_positives(false_positives, config)
-    # A frame meets its kept boxes' faults, then its own draws' fault, then
-    # its false positives' faults, each kind in row order.
-    events = box_faults + ([(stop[0], 1, None)] if stop else []) + spurious_faults
-    for _, _, check in sorted(events, key=lambda event: event[:2]):
-        if check is None:
-            raise stop[1]
-        check()
     detections: list[list[tuple]] = [[] for _ in frames]
-    for k, row in itertools.chain(boxes, spurious):
+    for k, row in itertools.chain(
+        _noisy_boxes(kept, np.reshape(normals, (len(kept), width)), noise), _false_positives(false_positives, config)
+    ):
         detections[k].append(row)
-    return detections
+    # A frame whose draws fail drew no false positives, and the frames after
+    # it drew nothing, so its fault comes after every row checked here.
+    checked = [[_valid_row(*row[:5], *row[5]) or _constructed_row(row) for row in rows] for rows in detections]
+    if stop is not None:
+        raise stop
+    return checked
 
 
-def _check_detection(class_name, truncation, occlusion, box2d, center, dims, angles, score) -> None:
-    """Build the record corrupt_detections builds of these values, for the
-    checks of its constructors, which raise the fault of a value that fails one."""
-    orientation = EulerOrientation(*angles)
-    box3d = Box3D(center=center, dims=dims, orientation=orientation)
-    DetectionRecord(class_name, box3d, truncation, occlusion, box2d, score=score)
-
-
-def _noisy_boxes(
-    kept: list[tuple[int, tuple]], normals: np.ndarray, noise: NoiseSpec
-) -> tuple[Iterator[tuple[int, tuple]], list[tuple]]:
+def _noisy_boxes(kept: list[tuple[int, tuple]], normals: np.ndarray, noise: NoiseSpec) -> Iterator[tuple[int, tuple]]:
     """The (frame, detection row) of each kept (frame, annotation row) under
-    its standard normals, made as they are taken, and a (frame, 0, check)
-    event per row that fails a check of EulerOrientation, Box3D or
-    DetectionRecord, in row order; check() raises that fault.
+    its standard normals, made as they are taken, its angles not yet
+    normalized.
 
     The arithmetic is corrupt_detections' per box, with its bits. Overflows
     make infinities, not warnings: an infinite magnitude scores
@@ -475,32 +464,16 @@ def _noisy_boxes(
                 column += 3
             else:
                 offsets.append(np.zeros((count, 3)))
-        centers = box[:, :3] + offsets[0]
-        dims = np.maximum(box[:, 3:6] + offsets[1], 0.05)  # never NaN, nor a zero
-        angles = box[:, 6:] + offsets[2]
-        volume = dims[:, 0] * dims[:, 1] * dims[:, 2]
+        params = np.column_stack([
+            box[:, :3] + offsets[0],
+            np.maximum(box[:, 3:6] + offsets[1], 0.05),  # never NaN, nor a zero
+            box[:, 6:] + offsets[2],
+        ])
         exponents = -_magnitudes(*offsets) / noise.score_scale
-    scores = np.array([math.exp(v) for v in exponents.tolist()])
-    ok = (
-        np.isfinite(angles).all(axis=1)
-        & np.isfinite(centers).all(axis=1)
-        & np.isfinite(dims).all(axis=1)
-        & (0.0 < volume) & (volume < math.inf)
-        & (0.0 <= scores) & (scores <= 1.0)
+    return (
+        (k, (*row[:4], math.exp(exponent), tuple(values)))
+        for (k, row), exponent, values in zip(kept, exponents.tolist(), params.tolist())
     )
-    faults = [
-        (kept[i][0], 0, functools.partial(
-            _check_detection, *kept[i][1][:4], *(values[i].tolist() for values in (centers, dims, angles, scores))
-        ))
-        for i in np.flatnonzero(~ok).tolist()
-    ]
-    rows = (
-        (k, (*row[:4], score, (*center, *size, normalize_angle(yaw), normalize_angle(pitch), normalize_angle(roll))))
-        for (k, row), center, size, (yaw, pitch, roll), score in zip(
-            kept, centers.tolist(), dims.tolist(), angles.tolist(), scores.tolist()
-        )
-    )
-    return rows, faults
 
 
 def _magnitudes(d_center: np.ndarray, d_dims: np.ndarray, d_angles: np.ndarray) -> np.ndarray:
@@ -518,26 +491,19 @@ def _magnitudes(d_center: np.ndarray, d_dims: np.ndarray, d_angles: np.ndarray) 
         return norm + (a[:, 0] + a[:, 1] + a[:, 2]) + (b[:, 0] + b[:, 1] + b[:, 2])
 
 
-def _false_positives(
-    draws: list[np.ndarray], config: SceneConfig
-) -> tuple[list[tuple[int, tuple]], list[tuple]]:
+def _false_positives(draws: list[np.ndarray], config: SceneConfig) -> Iterator[tuple[int, tuple]]:
     """The (frame, detection row) of each false positive in each frame's
-    (count, 6) draws, and a (frame, 2, check) event per one whose center
-    overflows, in order; check() raises Box3D's fault."""
+    (count, 6) draws, in order, made as they are taken, its yaw not yet
+    normalized."""
     names, cdf = _class_sampler(config.class_mix)
     owner = np.repeat(np.arange(len(draws)), [len(block) for block in draws])
     u = np.concatenate(draws) if draws else np.zeros((0, 6))
+    dims = [NOMINAL_DIMS[name] for name in names]
     with np.errstate(over="ignore"):
         lateral = u[:, 1] * np.array([math.tan(v) for v in u[:, 2].tolist()])
-    rows, faults = [], []
-    for k, kind, x, (_, depth, _, y, yaw, score) in zip(
-        owner.tolist(), _pick_classes(cdf, u[:, 0]).tolist(), lateral.tolist(), u.tolist()
-    ):
-        name = names[kind]
-        box = (x, y, depth, *NOMINAL_DIMS[name], normalize_angle(yaw), 0.0, 0.0)
-        if not math.isfinite(x):
-            faults.append((k, 2, functools.partial(
-                _check_detection, name, 0.0, Occlusion.FULLY_VISIBLE, None, box[:3], box[3:6], box[6:], score
-            )))
-        rows.append((k, (name, 0.0, Occlusion.FULLY_VISIBLE, None, score, box)))
-    return rows, faults
+    return (
+        (k, (names[kind], 0.0, Occlusion.FULLY_VISIBLE, None, score, (x, y, depth, *dims[kind], yaw, 0.0, 0.0)))
+        for k, kind, x, (_, depth, _, y, yaw, score) in zip(
+            owner.tolist(), _pick_classes(cdf, u[:, 0]).tolist(), lateral.tolist(), u.tolist()
+        )
+    )

@@ -492,6 +492,45 @@ class TestBulkReadersAgainstReference:
         assert load_manifest(manifest_text).frames[0].annotations[0].box3d.orientation.yaw == math.pi
 
 
+class TestGateAgreesWithConstructors:
+    """_valid_row, the gate every label row passes, against _constructed_row,
+    the constructors that name a row's fault: the gate takes a row exactly
+    when the constructors do, makes the same row of it, and raises their
+    fault for a non-finite angle."""
+
+    SPECIALS = (0.0, -0.0, 5e-324, 0.5, 1e154, 1e308, math.inf, -math.inf, math.nan)
+
+    @staticmethod
+    def _outcome(check, row):
+        try:
+            made = check(row)
+        except ValidationError as exc:
+            return "fault", str(exc)
+        return ("row", typed(made)) if made is not None else ("rejected", None)
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(41)
+        seen = set()
+        for _ in range(20_000):
+            # Each of the 9 box values, truncation and score is a special
+            # value, or half the time an ordinary one.
+            ordinary = [*rng.uniform(-1.0, 8.0, 9).tolist(), *rng.uniform(-0.5, 1.5, 2).tolist()]
+            picks = rng.integers(0, 2 * len(self.SPECIALS), 11).tolist()
+            values = [self.SPECIALS[p] if p < len(self.SPECIALS) else o for p, o in zip(picks, ordinary)]
+            box, truncation, score = tuple(values[:9]), values[9], values[10]
+            occlusion = float(rng.integers(0, 4))
+            box2d = (1.0, 2.0, 3.0, 4.0) if rng.random() < 0.5 else None
+            row = ("Car", truncation, occlusion, box2d, score if rng.random() < 0.75 else None, box)
+            gate = self._outcome(lambda row: formats._valid_row(*row[:5], *row[5]), row)
+            constructed = self._outcome(formats._constructed_row, row)
+            if gate[0] == "rejected":
+                assert constructed[0] == "fault", row
+            else:
+                assert gate == constructed, row
+            seen.add(gate[0])
+        assert seen == {"row", "rejected", "fault"}
+
+
 class TestKittiWriting:
     def test_round_trip_values(self):
         rng = np.random.default_rng(5)

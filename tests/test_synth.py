@@ -17,6 +17,8 @@ from roadkit.formats import (
     DatasetManifest,
     FrameRecord,
     Occlusion,
+    _record,
+    _record_row,
     dump_calibration,
     dump_manifest,
 )
@@ -515,6 +517,55 @@ class TestDetectionParity:
         faults = [o for o in outcomes if isinstance(o, str)]
         assert faults and all(f.startswith(fault) for f in faults)
         assert len(faults) < len(outcomes) or noise.dim_sigma
+
+
+class TestNoiseFaultOrder:
+    """The noise stage over several frames against reference_corrupt_detections
+    run one frame at a time: the earlier frame's fault is raised, whether it
+    is a false positive's and the later one a box's, or the reverse."""
+
+    # Some false positives overflow their lateral offset, and every box its volume.
+    CONFIG = SceneConfig(horizontal_fov_deg=179.0, max_range=1.7e308)
+    NOISE = NoiseSpec(fp_rate=3.0, dim_sigma=1e200)
+
+    def _reference(self, frames, seeds):
+        records = []
+        for frame, seed in zip(frames, seeds):
+            try:
+                with np.errstate(over="ignore"):
+                    records.append(reference_corrupt_detections(frame, self.NOISE, seed, self.CONFIG))
+            except ValidationError as exc:
+                return str(exc)
+        return typed(records)
+
+    def _stage(self, frames, seeds):
+        labels = [[_record_row(ann) for ann in frame.annotations] for frame in frames]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = synth._detection_rows(labels, self.NOISE, seeds, self.CONFIG)
+        except ValidationError as exc:
+            return str(exc)
+        return typed([[_record(row, frame.frame_id) for row in frame_rows] for frame, frame_rows in zip(frames, rows)])
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        """A frame holding no box, with the first seed whose false positives
+        overflow, and a frame of boxes."""
+        empty = FrameRecord("empty")
+        seed = next(s for s in range(50) if isinstance(self._reference([empty], [s]), str))
+        manifest, _ = generate_corpus(WIDE, 1, seed=81)
+        return (empty, seed), (manifest.frames[0], 7)
+
+    @pytest.mark.parametrize("order, fault", [((0, 1), "box center must be 3 finite"), ((1, 0), "box volume")])
+    def test_earlier_frame_fault_is_raised(self, frames, order, fault):
+        picked = [frames[i] for i in order]
+        frame_list, seeds = [frame for frame, _ in picked], [seed for _, seed in picked]
+        expected = self._reference(frame_list, seeds)
+        assert isinstance(expected, str) and expected.startswith(fault)
+        assert self._stage(frame_list, seeds) == expected
+        # Each frame alone faults too, so the order of the frames decides.
+        assert all(isinstance(self._reference([frame], [seed]), str) for frame, seed in picked)
 
 
 class TestMagnitudeBits:
